@@ -6,7 +6,7 @@ backends were extracted into :mod:`repro.backends` (with the fluid /
 hybrid delivered-rate summation pinned to sorted flow order — the
 hash-seed determinism fix noted on ``CACHE_VERSION`` v6).  Every entry
 pins one ``(scenario, backend)`` cell at ``quick(horizon=6.0,
-warmup=2.0)``:
+warmup=2.0)`` unless the entry carries its own ``horizon``/``warmup``:
 
 - the full ``ScenarioResult.to_dict()`` payload, compared for exact
   equality — floats must match to the last ulp, not approximately;
@@ -23,6 +23,14 @@ probes grew jitter/loss columns, moving ``telemetry_samples`` on every
 DES/hybrid cell, and results grew ``mean_qoe`` / ``qoe_flows`` /
 ``qoe_per_class`` (all zero/empty here — these scenarios classify no
 flows).  Every traffic number was verified unchanged at re-capture.
+
+The three ``scale-fat-tree-2k`` cells (``quick(horizon=3.0,
+warmup=1.0)``) were captured immediately before the fluid paths were
+merged into one solver and one epoch pipeline.  They pin what the small
+cells cannot reach: the ``fluid`` cell has more flow edges than
+``max_epochs`` and so runs the coalesced-grid path, and the two hybrid
+cells carry 1 992 mice (168 classes in aggregate mode, against 6 on
+``wan-elephant-mice``).
 """
 
 import dataclasses
@@ -42,7 +50,9 @@ PINS = json.loads(
 
 
 def _scenario_for(pin):
-    scenario = get_scenario(pin["scenario"]).quick(horizon=6.0, warmup=2.0)
+    scenario = get_scenario(pin["scenario"]).quick(
+        horizon=pin.get("horizon", 6.0), warmup=pin.get("warmup", 2.0)
+    )
     if pin["aggregate"]:
         scenario = scenario.with_overrides(
             classes=dataclasses.replace(
