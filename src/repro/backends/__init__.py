@@ -22,7 +22,7 @@ from .base import (
 # choices and `repro backends list` present backends in this sequence.
 from .des import DesBackend
 from .fluid import FluidBackend
-from .hybrid import HybridAggregateBackend, HybridBackend
+from .hybrid import HybridBackend
 from .emulation import (
     CommandPlan,
     EmulationBackend,
@@ -48,7 +48,6 @@ __all__ = [
     "DesBackend",
     "FluidBackend",
     "HybridBackend",
-    "HybridAggregateBackend",
     "EmulationBackend",
     "EmulationDriver",
     "MockEmulationDriver",

@@ -12,7 +12,7 @@ sweep engine or the CLI knowing the difference.
 The lifecycle is three explicit stages, driven by
 :class:`~repro.scenarios.runner.ScenarioRunner`::
 
-    backend = get_backend("fluid").for_scenario(scenario)
+    backend = get_backend("fluid")()
     backend.prepare(scenario, network, tunnels, context)   # bind state
     backend.execute()                                      # run it
     result = backend.collect()                             # uniform result
@@ -166,16 +166,6 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def capabilities(cls) -> BackendCapabilities:
         """This backend's declared capabilities."""
-
-    @classmethod
-    def for_scenario(cls, scenario: "Scenario") -> "ExecutionBackend":
-        """Instantiate the backend that will run ``scenario``.
-
-        The default returns ``cls()``; a backend family may return a
-        specialised sibling (the hybrid backend swaps in its
-        aggregate-mice implementation here).
-        """
-        return cls()
 
     def prepare(
         self,

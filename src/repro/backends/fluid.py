@@ -10,8 +10,7 @@ steady state the packet level should approximate.
 
 ``solve_inputs`` and ``delivered_from`` are module functions because the
 hybrid backend shares them for its background class; they take the
-prepared :class:`~repro.backends.base.RunContext` so the numbers are
-byte-identical to the pre-extraction ``ScenarioRunner._run_fluid``.
+prepared :class:`~repro.backends.base.RunContext`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.framework.scheduler import FlowRequest
 from repro.hecate.objectives import assign_flows
 from repro.net.fluid import link_capacities
 from repro.net.qoe import FlowQoSSample, aggregate_qoe, predicted_mos
-from repro.scenarios.hybrid import quantize_edges, solve_epochs
+from repro.scenarios.hybrid import EpochSolve, quantize_edges, solve_epochs
 from repro.scenarios.result import ScenarioResult
 
 from .base import (
@@ -185,7 +184,7 @@ def solve_inputs(
 
 
 def delivered_from(
-    solves: Sequence,
+    solves: Sequence[EpochSolve],
     names: Set[str],
 ) -> Tuple[Dict[str, float], int]:
     """Mbps-seconds delivered per flow in ``names`` across all

@@ -9,19 +9,19 @@ to the links as background-utilization terms
 serialization honours — orders of magnitude more flows for a fraction of
 the event count.
 
-Two implementations share the registry name ``hybrid``:
-:class:`HybridBackend` keeps every background flow individually in the
-fluid solve, while :class:`HybridAggregateBackend` collapses the
-background into :class:`~repro.scenarios.hybrid.BackgroundAggregate`
-flow classes (cost scales with tunnels x epochs instead of users x
-epochs — the scale tier's 100k–1M flows).  ``for_scenario`` picks the
-sibling from ``scenario.classes.aggregate_background``, so callers only
-ever name ``hybrid``.
+One backend serves both representations of the background.  By default
+every background flow is its own variable in the fluid solve; with
+``scenario.classes.aggregate_background`` the mice are collapsed into
+:class:`~repro.scenarios.hybrid.BackgroundAggregate` flow classes first
+(cost scales with tunnels x epochs instead of users x epochs — the scale
+tier's 100k–1M flows).  Solve, packet run and result assembly are shared;
+only the background's accounting differs, because per-flow identity
+exists in one mode and not in the other.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,28 +30,18 @@ from repro.net.fluid import link_capacities
 from repro.net.qoe import FlowQoSSample, aggregate_qoe
 from repro.scenarios.hybrid import (
     aggregate_background,
-    aggregate_background_epochs,
     assign_class_paths,
     background_epochs,
     epoch_edges,
     solve_epochs,
-    solve_epochs_aggregate,
 )
 from repro.scenarios.result import ScenarioResult
 
-from .base import (
-    BackendCapabilities,
-    ExecutionBackend,
-    RunContext,
-    register_backend,
-)
+from .base import BackendCapabilities, ExecutionBackend, register_backend
 from .des import des_drop_count, des_flow_metrics, des_qoe_samples
 from .fluid import delivered_from, solve_inputs
 
-__all__ = ["HybridBackend", "HybridAggregateBackend"]
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios.spec import Scenario
+__all__ = ["HybridBackend"]
 
 
 @register_backend
@@ -86,32 +76,41 @@ class HybridBackend(ExecutionBackend):
             reports_telemetry=True,
         )
 
-    @classmethod
-    def for_scenario(cls, scenario: "Scenario") -> ExecutionBackend:
-        if scenario.classes.aggregate_background:
-            return HybridAggregateBackend()
-        return cls()
-
     def execute(self) -> None:
         context = self._bound_context()
         assert context.network is not None and context.sdn is not None
         assert self.scenario is not None
         scenario = self.scenario
+        network = context.network
         horizon = scenario.horizon
-        capacities = link_capacities(context.network)
+        capacities = link_capacities(network)
 
-        bg_paths, bg_unplaced = assign_class_paths(
-            context.network, context.tunnels, context.background, spread=True
-        )
         # foreground flows join the solve as claimants on their default
         # tunnels (an estimate of initial placement) so background rates
         # never hand the mice capacity the elephants are using; their
         # real throughput comes from the packet domain below
-        fg_paths, _ = assign_class_paths(
-            context.network, context.tunnels, context.foreground, spread=False
+        paths, _ = assign_class_paths(
+            network, context.tunnels, context.foreground, spread=False
         )
-        paths = {**fg_paths, **bg_paths}
-        spans, rate_caps, probes, phase_fracs = solve_inputs(context, paths)
+        aggregate = None
+        bg_paths: Dict[str, Tuple[str, ...]] = {}
+        if scenario.classes.aggregate_background:
+            # no background flow ever exists individually: placement,
+            # the solve and the accounting below work on class columns
+            aggregate = aggregate_background(
+                network, context.tunnels, context.background, horizon
+            )
+            bg_unplaced = aggregate.unplaced
+            per_flow_requests = context.foreground
+        else:
+            bg_paths, bg_unplaced = assign_class_paths(
+                network, context.tunnels, context.background, spread=True
+            )
+            paths.update(bg_paths)
+            per_flow_requests = context.requests
+        spans, rate_caps, probes, phase_fracs = solve_inputs(
+            context, paths, per_flow_requests
+        )
         edges = epoch_edges(
             horizon, context.failure_plan, phase_fracs, scenario.classes
         )
@@ -123,31 +122,114 @@ class HybridBackend(ExecutionBackend):
             probes,
             context.failure_plan,
             edges,
+            aggregate,
         )
-        bg_names = {r.flow_name for r in context.background}
-        epochs = background_epochs(solves, bg_names, paths)
+        epochs = background_epochs(solves, set(bg_paths), paths, aggregate)
 
         # ----- packet domain: warmup, foreground, failures, background
         context.sdn.run(until=scenario.warmup)
         context.inject_traffic()
         context.arm_failures()
-        install_background_schedule(
-            context.network, epochs, offset=context.network.sim.now
-        )
+        install_background_schedule(network, epochs, offset=network.sim.now)
         context.sdn.run(until=scenario.warmup + scenario.horizon)
 
         # ----- merge the two domains into one result
         per_flow, latencies = des_flow_metrics(context)
-        bg_delivered, bg_outages = delivered_from(
-            solves, {name for name in spans if name in bg_names}
-        )
-        for name, total in bg_delivered.items():
-            start, end = spans[name]
-            per_flow[name] = total / (end - start) if end > start else 0.0
-        latencies.extend(
-            context.network.path_delay_ms(list(paths[name]))
-            for name in bg_delivered
-        )
+        # QoE: foreground flows score from what their apps measured
+        # (same extraction as the des backend)
+        qoe_samples = des_qoe_samples(context)
+        # rates that enter min_flow_mbps next to the per-flow ones
+        class_avg_mbps: List[float] = []
+        # background share of total_throughput_mbps not in per_flow
+        bg_span_avg_total = 0.0
+        n_classes = 0
+        if aggregate is None:
+            bg_delivered, bg_outages = delivered_from(
+                solves, {name for name in spans if name in bg_paths}
+            )
+            bg_flows = len(bg_delivered)
+            background_mbps = float(sum(bg_delivered.values()) / horizon)
+            # background flows score QoE from their fluid rate plus
+            # propagation delay (zero jitter/loss — the optimistic
+            # fluid bound)
+            classes = {r.flow_name: r.app_class for r in context.requests}
+            for name, total in bg_delivered.items():
+                start, end = spans[name]
+                per_flow[name] = total / (end - start) if end > start else 0.0
+                delay = network.path_delay_ms(list(paths[name]))
+                latencies.append(delay)
+                qoe_samples.append(
+                    (
+                        classes.get(name, "generic"),
+                        FlowQoSSample(
+                            rate_mbps=per_flow[name], latency_ms=delay
+                        ),
+                    )
+                )
+            mean_latency = float(np.mean(latencies)) if latencies else 0.0
+            max_latency = float(max(latencies)) if latencies else 0.0
+        else:
+            # only the packet-level foreground has per-flow identity, so
+            # only it is in per_flow_mbps and QoE-scored — design scale
+            # scenarios so classified (video/voip/bulk) flows match the
+            # foreground globs and generic mice form the background
+            n_classes = len(aggregate.class_paths)
+            bg_flows = aggregate.members
+            delivered_c = np.zeros(n_classes)
+            bg_outages = 0
+            for solve in solves:
+                delivered_c += solve.class_rates * (solve.t1 - solve.t0)
+                bg_outages += solve.blacked_members
+            background_mbps = float(delivered_c.sum() / horizon)
+            member_seconds = aggregate.member_seconds()
+            # a class's average per-mouse rate: delivered Mbps-seconds over
+            # summed member-active seconds — enters min_flow_mbps so a
+            # starved class is as visible as a starved flow
+            class_avg_mbps = [
+                float(delivered_c[k] / member_seconds[k])
+                for k in range(n_classes)
+                if member_seconds[k] > 0.0
+            ]
+            # total_throughput keeps the per-flow semantic (sum of
+            # span-averaged per-flow rates): each class contributes its
+            # average member rate times its positive-span member count, so
+            # the two modes report comparable totals.  The horizon-
+            # averaged background total is background_mbps above.
+            spanned_members = np.bincount(
+                aggregate.class_of,
+                weights=(aggregate.ends > aggregate.starts),
+                minlength=n_classes,
+            )
+            bg_span_avg_total = float(
+                sum(
+                    spanned_members[k] * delivered_c[k] / member_seconds[k]
+                    for k in range(n_classes)
+                    if member_seconds[k] > 0.0
+                )
+            )
+            # latency means weight each class by its member count, so the
+            # distribution matches what per-flow mode would report
+            members_per_class = np.bincount(
+                aggregate.class_of, minlength=n_classes
+            )
+            class_delays = [
+                network.path_delay_ms(list(path))
+                for path in aggregate.class_paths
+            ]
+            latency_sum = float(sum(latencies)) + float(
+                sum(
+                    delay * int(count)
+                    for delay, count in zip(class_delays, members_per_class)
+                )
+            )
+            latency_n = len(latencies) + int(members_per_class.sum())
+            mean_latency = latency_sum / latency_n if latency_n else 0.0
+            populated_delays = [
+                delay
+                for delay, count in zip(class_delays, members_per_class)
+                if count
+            ]
+            max_latency = float(max(latencies + populated_delays, default=0.0))
         migrations = sum(
             len(record.migrations)
             for record in context.sdn.controller.flows.values()
@@ -156,24 +238,7 @@ class HybridBackend(ExecutionBackend):
             policy.reconfigurations
             for policy in context.sdn.router_config.policies.values()
         )
-        # QoE: foreground flows score from what their apps measured
-        # (same extraction as the des backend), background flows from
-        # their fluid rate plus propagation delay (zero jitter/loss —
-        # the optimistic fluid bound)
-        classes = {r.flow_name: r.app_class for r in context.requests}
-        qoe_samples = des_qoe_samples(context)
-        qoe_samples.extend(
-            (
-                classes.get(name, "generic"),
-                FlowQoSSample(
-                    rate_mbps=per_flow[name],
-                    latency_ms=context.network.path_delay_ms(
-                        list(paths[name])
-                    ),
-                ),
-            )
-            for name in bg_delivered
-        )
+        flow_rates = list(per_flow.values()) + class_avg_mbps
         qoe_per_class, mean_qoe, qoe_flows = aggregate_qoe(qoe_samples)
         self._result = ScenarioResult(
             scenario=scenario.name,
@@ -183,21 +248,23 @@ class HybridBackend(ExecutionBackend):
             warmup_s=scenario.warmup,
             tunnels=len(context.tunnels),
             offered=len(context.requests),
-            placed=context.placed + len(bg_delivered),
+            placed=context.placed + bg_flows,
             rejected=context.rejected + bg_unplaced,
             per_flow_mbps=per_flow,
-            total_throughput_mbps=float(sum(per_flow.values())),
-            min_flow_mbps=float(min(per_flow.values())) if per_flow else 0.0,
-            mean_latency_ms=float(np.mean(latencies)) if latencies else 0.0,
-            max_latency_ms=float(max(latencies)) if latencies else 0.0,
+            total_throughput_mbps=float(sum(per_flow.values()))
+            + bg_span_avg_total,
+            min_flow_mbps=float(min(flow_rates)) if flow_rates else 0.0,
+            mean_latency_ms=mean_latency,
+            max_latency_ms=max_latency,
             drops=des_drop_count(context) + bg_outages,
             migrations=migrations,
             reconfigurations=reconfigurations,
             failure_events=len(context.failure_plan),
-            sim_events=context.network.sim.events_processed,
+            sim_events=network.sim.events_processed,
             telemetry_samples=context.sdn.telemetry.db.total_samples(),
-            background_flows=len(bg_delivered),
-            background_mbps=float(sum(bg_delivered.values()) / horizon),
+            background_flows=bg_flows,
+            background_classes=n_classes,
+            background_mbps=background_mbps,
             mean_qoe=mean_qoe,
             qoe_flows=qoe_flows,
             qoe_per_class=qoe_per_class,
@@ -207,167 +274,3 @@ class HybridBackend(ExecutionBackend):
         if self._result is None:
             raise RuntimeError("hybrid backend: call execute() first")
         return self._result
-
-
-class HybridAggregateBackend(HybridBackend):
-    """Hybrid run with the background collapsed into flow classes.
-
-    Same shape as :class:`HybridBackend`, but no background flow ever
-    exists individually: placement, the per-epoch fluid solve and
-    the delivered accounting all operate on
-    :class:`~repro.scenarios.hybrid.BackgroundAggregate` columns —
-    cost scales with (tunnels x epochs) instead of (users x
-    epochs), which is what lets the scale tier reach 100k–1M
-    offered flows.  ``per_flow_mbps`` covers the foreground only;
-    the background is reported as ``background_flows`` /
-    ``background_classes`` / ``background_mbps``, and latency means
-    weight each class by its member count so the distribution
-    matches what per-flow mode would report.
-
-    Not separately registered: ``get_backend("hybrid").for_scenario``
-    returns it when ``scenario.classes.aggregate_background`` is set.
-    """
-
-    def execute(self) -> None:
-        context = self._bound_context()
-        assert context.network is not None and context.sdn is not None
-        assert self.scenario is not None
-        scenario = self.scenario
-        horizon = scenario.horizon
-        capacities = link_capacities(context.network)
-
-        aggregate = aggregate_background(
-            context.network, context.tunnels, context.background, horizon
-        )
-        fg_paths, _ = assign_class_paths(
-            context.network, context.tunnels, context.foreground, spread=False
-        )
-        spans, rate_caps, probes, phase_fracs = solve_inputs(
-            context, fg_paths, requests=context.foreground
-        )
-        edges = epoch_edges(
-            horizon, context.failure_plan, phase_fracs, scenario.classes
-        )
-        solves = solve_epochs_aggregate(
-            spans,
-            fg_paths,
-            capacities,
-            rate_caps,
-            probes,
-            context.failure_plan,
-            edges,
-            aggregate,
-        )
-        epochs = aggregate_background_epochs(solves, aggregate)
-
-        # ----- packet domain: warmup, foreground, failures, background
-        context.sdn.run(until=scenario.warmup)
-        context.inject_traffic()
-        context.arm_failures()
-        install_background_schedule(
-            context.network, epochs, offset=context.network.sim.now
-        )
-        context.sdn.run(until=scenario.warmup + scenario.horizon)
-
-        # ----- merge: foreground per-flow, background per-class
-        per_flow, latencies = des_flow_metrics(context)
-        n_classes = len(aggregate.class_paths)
-        delivered_c = np.zeros(n_classes)
-        bg_outages = 0
-        for solve in solves:
-            delivered_c += solve.class_rates * (solve.t1 - solve.t0)
-            bg_outages += solve.blacked_members
-        member_seconds = aggregate.member_seconds()
-        # a class's average per-mouse rate: delivered Mbps-seconds over
-        # summed member-active seconds — enters min_flow_mbps so a
-        # starved class is as visible as a starved flow
-        class_avg_mbps = [
-            float(delivered_c[k] / member_seconds[k])
-            for k in range(n_classes)
-            if member_seconds[k] > 0.0
-        ]
-        background_mbps = float(delivered_c.sum() / horizon)
-        flow_rates = list(per_flow.values()) + class_avg_mbps
-        members_per_class = np.bincount(
-            aggregate.class_of, minlength=n_classes
-        )
-        # total_throughput keeps the per-flow hybrid semantic (sum of
-        # span-averaged per-flow rates): each class contributes its
-        # average member rate times its positive-span member count, so
-        # the two hybrid modes report comparable totals.  The horizon-
-        # averaged background total is background_mbps above.
-        spanned_members = np.bincount(
-            aggregate.class_of,
-            weights=(aggregate.ends > aggregate.starts),
-            minlength=n_classes,
-        )
-        bg_span_avg_total = float(
-            sum(
-                spanned_members[k] * delivered_c[k] / member_seconds[k]
-                for k in range(n_classes)
-                if member_seconds[k] > 0.0
-            )
-        )
-        class_delays = [
-            context.network.path_delay_ms(list(path))
-            for path in aggregate.class_paths
-        ]
-        latency_sum = float(sum(latencies)) + float(
-            sum(
-                delay * int(count)
-                for delay, count in zip(class_delays, members_per_class)
-            )
-        )
-        latency_n = len(latencies) + int(members_per_class.sum())
-        max_latency = max(latencies) if latencies else 0.0
-        populated_delays = [
-            delay
-            for delay, count in zip(class_delays, members_per_class)
-            if count
-        ]
-        if populated_delays:
-            max_latency = max(max_latency, max(populated_delays))
-        migrations = sum(
-            len(record.migrations)
-            for record in context.sdn.controller.flows.values()
-        )
-        reconfigurations = sum(
-            policy.reconfigurations
-            for policy in context.sdn.router_config.policies.values()
-        )
-        # aggregate-mice mode: only the packet-level foreground has
-        # per-flow identity, so only it is QoE-scored — design scale
-        # scenarios so classified (video/voip/bulk) flows match the
-        # foreground globs and generic mice form the background
-        qoe_per_class, mean_qoe, qoe_flows = aggregate_qoe(
-            des_qoe_samples(context)
-        )
-        self._result = ScenarioResult(
-            scenario=scenario.name,
-            backend="hybrid",
-            seed=context.seed,
-            horizon_s=horizon,
-            warmup_s=scenario.warmup,
-            tunnels=len(context.tunnels),
-            offered=len(context.requests),
-            placed=context.placed + aggregate.members,
-            rejected=context.rejected + aggregate.unplaced,
-            per_flow_mbps=per_flow,
-            total_throughput_mbps=float(sum(per_flow.values()))
-            + bg_span_avg_total,
-            min_flow_mbps=float(min(flow_rates)) if flow_rates else 0.0,
-            mean_latency_ms=(latency_sum / latency_n if latency_n else 0.0),
-            max_latency_ms=float(max_latency),
-            drops=des_drop_count(context) + bg_outages,
-            migrations=migrations,
-            reconfigurations=reconfigurations,
-            failure_events=len(context.failure_plan),
-            sim_events=context.network.sim.events_processed,
-            telemetry_samples=context.sdn.telemetry.db.total_samples(),
-            background_flows=aggregate.members,
-            background_classes=n_classes,
-            background_mbps=background_mbps,
-            mean_qoe=mean_qoe,
-            qoe_flows=qoe_flows,
-            qoe_per_class=qoe_per_class,
-        )

@@ -15,7 +15,6 @@ from .forecasters import (
 )
 from .lp import FlowSplit, solve_min_cost, solve_min_delay, solve_min_max_utilization
 from .objectives import (
-    OBJECTIVES,
     AssignmentResult,
     PathForecast,
     assign_flows,
@@ -41,7 +40,7 @@ from .tournament import (
 __all__ = [
     "QoSPredictor", "EvaluationResult", "evaluate_pipeline",
     "TournamentEntry", "TournamentResult", "run_tournament", "PAPER_FIG6_RMSE",
-    "PathForecast", "OBJECTIVES",
+    "PathForecast",
     "choose_max_bandwidth", "choose_min_latency", "choose_min_max_utilization",
     "FlowSplit", "solve_min_cost", "solve_min_max_utilization", "solve_min_delay",
     "HecateService", "ASK_PATH_TOPIC", "ASK_PATH_BATCH_TOPIC",

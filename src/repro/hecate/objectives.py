@@ -12,9 +12,9 @@ forecasts differently.
 Objectives live in a registry: :func:`register_objective` adds one,
 :func:`objective_names` / :func:`list_objectives` enumerate them (the
 CLI derives its ``--objective`` choices and help text from here), and
-the ``OBJECTIVES`` mapping keeps the original ``OBJECTIVES[name](...)``
-call style working.  A chooser is ``(forecasts, app_class="generic") ->
-PathForecast``; app-agnostic objectives simply ignore the class.
+``get_objective(name).chooser`` is the call site's way in.  A chooser is
+``(forecasts, app_class="generic") -> PathForecast``; app-agnostic
+objectives simply ignore the class.
 
 :func:`assign_flows` is the *joint* optimizer behind the Fig. 12
 experiment: given several flows and candidate tunnels, it searches flow->
@@ -55,7 +55,6 @@ __all__ = [
     "choose_min_latency",
     "choose_min_max_utilization",
     "choose_max_qoe",
-    "OBJECTIVES",
     "assign_flows",
     "AssignmentResult",
 ]
@@ -153,23 +152,6 @@ class ObjectiveSpec:
 
 
 _REGISTRY: Dict[str, ObjectiveSpec] = {}
-
-
-class _ObjectivesView(Mapping[str, Chooser]):
-    """Mapping facade over the registry so the historic
-    ``OBJECTIVES[name](forecasts)`` call sites keep working."""
-
-    def __getitem__(self, name: str) -> Chooser:
-        return _REGISTRY[name].chooser
-
-    def __iter__(self):
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-
-OBJECTIVES: Mapping[str, Chooser] = _ObjectivesView()
 
 
 def register_objective(spec: ObjectiveSpec) -> ObjectiveSpec:

@@ -19,7 +19,7 @@ from repro.bus import Message, MessageBus
 from repro.ml import RandomForestRegressor
 from repro.net.telemetry import TimeSeriesDB
 
-from .objectives import OBJECTIVES, PathForecast
+from .objectives import PathForecast, get_objective, objective_names
 from .predictor import QoSPredictor
 
 __all__ = [
@@ -209,10 +209,13 @@ class HecateService:
         memo: Dict[str, PathForecast],
         app_class: str = "generic",
     ) -> Recommendation:
-        if objective not in OBJECTIVES:
+        try:
+            chooser = get_objective(objective).chooser
+        except KeyError:
             raise ValueError(
-                f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
-            )
+                f"unknown objective {objective!r}; "
+                f"choose from {list(objective_names())}"
+            ) from None
         if not paths:
             raise ValueError("no candidate paths")
         forecasts = []
@@ -220,7 +223,7 @@ class HecateService:
             if path not in memo:
                 memo[path] = self.forecast_path(path, horizon=horizon)
             forecasts.append(memo[path])
-        chosen = OBJECTIVES[objective](forecasts, app_class)
+        chosen = chooser(forecasts, app_class)
         trained = self.db.count(f"path:{chosen.name}:available_mbps") >= max(
             self.MIN_TRAIN_SAMPLES, self.n_lags + 2
         )

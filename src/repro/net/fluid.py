@@ -5,12 +5,19 @@ module answers *where they should converge*: given each flow's path and
 the link capacities, progressive filling computes the max-min fair rate
 allocation that competing AIMD flows approximate in steady state.
 
-Two solver implementations share one saturation rule:
+One progressive-filling rule, two fills selected by input size:
 
-- a **vectorized** solver over a flow x link incidence matrix (numpy),
-  the default for the wide flow sets dynamic-scenario sweeps produce;
-- the original **scalar** dict-based solver, kept as a fallback and as
-  the cross-check oracle the property tests compare against.
+- a **vectorized** fill over a flow x link incidence matrix (numpy),
+  optionally weighted, for the wide flow sets dynamic-scenario sweeps
+  produce;
+- the **scalar** dict-based fill, faster below
+  :data:`_VECTOR_MIN_FLOWS` flows (most solves of a sweep cell are that
+  small) and the cross-check oracle the property tests compare against.
+
+Both return bit-identical rates, and :func:`max_min_fair_bounded` is the
+only pin-and-reshare loop on top of them: plain max-min is unit weights
+with no bounds, a flow-class aggregate is one weighted claimant under
+one demand bound.
 
 Capacity keys are **directed** ``(a, b)`` node pairs.  Lookup tries the
 exact direction first and falls back to the reversed key, so legacy
@@ -28,7 +35,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -39,7 +54,6 @@ __all__ = [
     "FluidFlow",
     "max_min_fair",
     "max_min_fair_bounded",
-    "max_min_fair_weighted",
     "total_throughput",
     "link_capacities",
 ]
@@ -52,7 +66,8 @@ __all__ = [
 #: filling early with under-allocated rates.
 _REL_EPS = 1e-9
 
-#: Below this many flows the scalar solver wins (no matrix setup cost).
+#: Below this many flows the scalar fill wins (no matrix setup cost);
+#: docs/PERFORMANCE.md records the measured crossover.
 _VECTOR_MIN_FLOWS = 24
 
 
@@ -157,13 +172,19 @@ def _fill_scalar(
 def _fill_vector(
     flow_links: Dict[str, List[Tuple[str, str]]],
     caps: Dict[Tuple[str, str], float],
+    weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
     """Vectorized progressive filling over a link x flow incidence matrix.
 
-    Each round computes every link's active user count with one
-    matrix-vector product, takes the global tightest increment, applies
-    it, and freezes all flows crossing newly saturated links — the same
-    rule as :func:`_fill_scalar`, so both agree to float precision.
+    Each round computes every link's active claim with one matrix-vector
+    product, takes the global tightest increment, applies it, and
+    freezes all flows crossing newly saturated links — the same rule as
+    :func:`_fill_scalar`, and bit-identical to it at unit weights.
+
+    Flow ``f`` grows at ``weights[f]`` (default 1.0) times the common
+    fill level, so a flow-class aggregate standing in for ``w`` identical
+    flows claims exactly the share those ``w`` flows would have claimed
+    individually; zero-weight flows never claim capacity.
     """
     names = list(flow_links)
     keys = list(caps)
@@ -172,21 +193,26 @@ def _fill_vector(
     for j, name in enumerate(names):
         for key in flow_links[name]:
             incidence[key_index[key], j] += 1.0
+    if weights is None:
+        weight = np.ones(len(names))
+    else:
+        weight = np.array([float(weights.get(name, 1.0)) for name in names])
     cap = np.array([caps[key] for key in keys])
     remaining = cap.copy()
     sat_eps = _REL_EPS * np.maximum(cap, 1.0)
     rates = np.zeros(len(names))
-    active = np.ones(len(names), dtype=bool)
+    active = weight > 0.0
     # every round freezes at least one flow or breaks, so <= n_flows rounds
     for _ in range(len(names)):
-        users = incidence @ active
+        growth = weight * active  # rate each flow gains per unit of fill
+        users = incidence @ growth
         used = users > 0.0
         if not used.any():
             break
         increment = float(np.min(remaining[used] / users[used]))
         if increment < 0.0:
             increment = 0.0
-        rates[active] += increment
+        rates += increment * growth
         remaining[used] -= increment * users[used]
         saturated = remaining <= sat_eps
         frozen = active & (incidence[saturated].sum(axis=0) > 0.0)
@@ -202,6 +228,7 @@ def max_min_fair(
     flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
     method: str = "auto",
+    weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
     """Progressive-filling max-min fair allocation.
 
@@ -214,28 +241,41 @@ def max_min_fair(
     ``method`` selects the implementation: ``"vector"`` (numpy incidence
     matrix), ``"scalar"`` (reference dicts), or ``"auto"`` (vectorized
     from :data:`_VECTOR_MIN_FLOWS` flows up, scalar below, where each is
-    fastest).  Both produce identical allocations to ~1e-9.
+    fastest).  The two are **bit-identical**, not merely close: which
+    one runs depends on how many flows happen to be active in an epoch,
+    so anything looser would let an unrelated flow count move a byte of
+    a pinned result (the property tests assert ``==``).
+
+    ``weights`` (flow name -> fair shares claimed per filling round,
+    absent names 1.0) makes the allocation weighted max-min.  Only the
+    vectorized fill carries weights, so ``"auto"`` selects it and
+    ``"scalar"`` is rejected.
     """
     if method not in ("auto", "vector", "scalar"):
         raise ValueError(
             f"method must be 'auto', 'vector' or 'scalar', got {method!r}"
         )
+    if weights is not None and method == "scalar":
+        raise ValueError("the scalar fill is unweighted; use 'vector'")
     flow_links, caps = _canonicalize(flows, capacities)
     if not flow_links:
         return {}
     if method == "scalar" or (
-        method == "auto" and len(flow_links) < _VECTOR_MIN_FLOWS
+        method == "auto"
+        and weights is None
+        and len(flow_links) < _VECTOR_MIN_FLOWS
     ):
         return _fill_scalar(flow_links, caps)
-    return _fill_vector(flow_links, caps)
+    return _fill_vector(flow_links, caps, weights)
 
 
 def max_min_fair_bounded(
     flow_paths: Mapping[str, Sequence[str]],
     capacities: Mapping[Tuple[str, str], float],
     bounds: Mapping[str, float],
+    weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
-    """Max-min fair allocation with per-flow rate ceilings.
+    """(Weighted) max-min fair allocation with per-flow rate ceilings.
 
     Water-filling with bounds: flows whose fair share exceeds their
     ceiling (CBR UDP senders) are pinned at the ceiling, their usage is
@@ -243,113 +283,25 @@ def max_min_fair_bounded(
     the remainder — so elastic flows soak up what rigid ones leave,
     matching what AIMD does at packet level.  ``flow_paths`` maps flow
     name to its node path; converges in at most ``len(bounds)`` rounds.
+
+    With ``weights`` this is the solver behind the hybrid backend's
+    *aggregate-mice* mode: an entry is either a real flow (weight 1, the
+    default) or a flow-class aggregate whose weight is the number of its
+    members active in the epoch — the class then claims ``weight`` fair
+    shares per filling round, exactly what its members would have
+    claimed as individual flows on the same path — and whose bound is
+    the summed offered load of its CBR members.  Zero-weight entries are
+    reported at 0.0 and never claim capacity; returned rates are per
+    *entry* (an aggregate's rate is the whole class's Mbps).
     """
     rates: Dict[str, float] = {}
     pending = {name: tuple(path) for name, path in flow_paths.items()}
     remaining = dict(capacities)
     while pending:
         fair = max_min_fair(
-            [FluidFlow.from_path(n, p) for n, p in pending.items()], remaining
-        )
-        capped = {
-            name for name, rate in fair.items()
-            if name in bounds and rate > bounds[name]
-        }
-        if not capped:
-            rates.update(fair)
-            break
-        for name in sorted(capped):
-            rate = bounds[name]
-            rates[name] = rate
-            path = pending[name]
-            for hop in zip(path[:-1], path[1:]):
-                # directed lookup, reversed fallback — the same key
-                # resolution max_min_fair applies
-                key = hop if hop in remaining else (hop[1], hop[0])
-                remaining[key] = max(0.0, remaining[key] - rate)
-            del pending[name]
-    return rates
-
-
-def _fill_vector_weighted(
-    flow_links: Dict[str, List[Tuple[str, str]]],
-    caps: Dict[Tuple[str, str], float],
-    weights: Dict[str, float],
-) -> Dict[str, float]:
-    """Weighted progressive filling: flow ``f`` grows at ``weights[f]``
-    times the common fill level, so a flow-class aggregate standing in
-    for ``w`` identical flows claims exactly the share those ``w`` flows
-    would have claimed individually.  With all weights 1 this reduces to
-    :func:`_fill_vector` (the property tests pin integer-weight
-    equivalence against duplicated unweighted flows).
-    """
-    names = list(flow_links)
-    keys = list(caps)
-    key_index = {key: i for i, key in enumerate(keys)}
-    incidence = np.zeros((len(keys), len(names)))
-    for j, name in enumerate(names):
-        for key in flow_links[name]:
-            incidence[key_index[key], j] += 1.0
-    weight = np.array([float(weights.get(name, 1.0)) for name in names])
-    cap = np.array([caps[key] for key in keys])
-    remaining = cap.copy()
-    sat_eps = _REL_EPS * np.maximum(cap, 1.0)
-    rates = np.zeros(len(names))
-    active = weight > 0.0  # zero-weight flows never claim capacity
-    for _ in range(len(names)):
-        users = incidence @ (weight * active)
-        used = users > 0.0
-        if not used.any():
-            break
-        increment = float(np.min(remaining[used] / users[used]))
-        if increment < 0.0:
-            increment = 0.0
-        rates[active] += increment * weight[active]
-        remaining[used] -= increment * users[used]
-        saturated = remaining <= sat_eps
-        frozen = active & (incidence[saturated].sum(axis=0) > 0.0)
-        if not frozen.any():
-            break  # increment underflow: stop deterministically
-        active &= ~frozen
-        if not active.any():
-            break
-    return {name: float(rates[j]) for j, name in enumerate(names)}
-
-
-def max_min_fair_weighted(
-    flow_paths: Mapping[str, Sequence[str]],
-    capacities: Mapping[Tuple[str, str], float],
-    bounds: Mapping[str, float],
-    weights: Mapping[str, float],
-) -> Dict[str, float]:
-    """Weighted max-min fair allocation with per-flow rate ceilings.
-
-    The solver behind the hybrid backend's *aggregate-mice* mode: each
-    entry in ``flow_paths`` is either a real (foreground) flow with
-    weight 1, or a flow-class aggregate whose ``weights`` entry is the
-    time-averaged number of member flows concurrently active — the class
-    then claims ``weight`` fair shares per filling round, exactly what
-    its members would have claimed as individual flows on the same path.
-    ``bounds`` caps rigid aggregates (e.g. the summed offered load of
-    CBR members) by water-filling, the same pin-and-reshare loop as
-    :func:`max_min_fair_bounded`: capped entries are pinned at their
-    ceiling, their usage leaves the link budgets, and the elastic rest
-    re-share the remainder.
-
-    Weights absent from ``weights`` default to 1.0; zero-weight entries
-    are reported at 0.0 and never claim capacity.  Returned rates are
-    per *entry* (an aggregate's rate is the whole class's Mbps).
-    """
-    rates: Dict[str, float] = {}
-    pending = {name: tuple(path) for name, path in flow_paths.items()}
-    remaining = dict(capacities)
-    while pending:
-        flow_links, caps = _canonicalize(
             [FluidFlow.from_path(n, p) for n, p in pending.items()],
             remaining,
-        )
-        fair = _fill_vector_weighted(
-            flow_links, caps, {n: weights.get(n, 1.0) for n in pending}
+            weights=weights,
         )
         capped = {
             name for name, rate in fair.items()

@@ -17,6 +17,11 @@ The hybrid backend splits one offered workload in two:
   the capacity the mice left behind, and telemetry reports the link as
   busy, so Hecate steers elephants around mice it never saw as packets.
 
+With ``FlowClassSpec.aggregate_background`` the mice are first collapsed
+into per-path classes (:class:`BackgroundAggregate`) and enter the same
+:func:`solve_epochs` as weighted claimants: one epoch loop, one solver,
+two representations of the background.
+
 The epoch solver here is also what the pure ``fluid`` backend runs: on
 small scenarios its epoch edges are the exact flow start/stop instants
 (bit-identical to the pre-hybrid implementation), and beyond
@@ -33,14 +38,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.framework.controller import select_candidates
 from repro.framework.scheduler import FlowRequest
 from repro.net.background import BackgroundEpoch
-from repro.net.fluid import max_min_fair_bounded, max_min_fair_weighted
+from repro.net.fluid import max_min_fair_bounded
 from repro.net.topology import Network
 
 from .failures import FailureEvent
@@ -48,7 +63,6 @@ from .spec import FlowClassSpec
 
 __all__ = [
     "EpochSolve",
-    "AggregateEpochSolve",
     "BackgroundAggregate",
     "split_requests",
     "assign_class_paths",
@@ -56,9 +70,7 @@ __all__ = [
     "epoch_edges",
     "quantize_edges",
     "solve_epochs",
-    "solve_epochs_aggregate",
     "background_epochs",
-    "aggregate_background_epochs",
 ]
 
 
@@ -90,6 +102,33 @@ def split_requests(
     return foreground, background
 
 
+def _placements(
+    network: Network,
+    tunnels: Sequence[Tuple[str, int, Tuple[str, ...]]],
+    requests: Sequence[FlowRequest],
+    spread: bool,
+) -> Iterator[Tuple[FlowRequest, Optional[Tuple[str, ...]]]]:
+    """Each request with its router path (``None``: no candidate
+    tunnel) — the one placement rule both background representations
+    share, so aggregating the mice can never change where they go."""
+    by_name = {name: path for name, _, path in tunnels}
+    rotation: Dict[Tuple[str, str], int] = {}
+    for request in requests:
+        pair = (
+            network.edge_router_of(request.src),
+            network.edge_router_of(request.dst),
+        )
+        candidates = select_candidates(by_name, *pair)
+        if not candidates:
+            yield request, None
+            continue
+        index = 0
+        if spread:
+            index = rotation.get(pair, 0)
+            rotation[pair] = index + 1
+        yield request, by_name[candidates[index % len(candidates)]]
+
+
 def assign_class_paths(
     network: Network,
     tunnels: Sequence[Tuple[str, int, Tuple[str, ...]]],
@@ -106,26 +145,13 @@ def assign_class_paths(
     initially lands foreground flows, used only to make the fluid solve
     see elephants as claimants.
     """
-    by_name = {name: path for name, _, path in tunnels}
     paths: Dict[str, Tuple[str, ...]] = {}
-    rotation: Dict[Tuple[str, str], int] = {}
     unplaced = 0
-    for request in requests:
-        pair = (
-            network.edge_router_of(request.src),
-            network.edge_router_of(request.dst),
-        )
-        candidates = select_candidates(by_name, *pair)
-        if not candidates:
+    for request, path in _placements(network, tunnels, requests, spread):
+        if path is None:
             unplaced += 1
-            continue
-        if spread:
-            index = rotation.get(pair, 0)
-            rotation[pair] = index + 1
-            chosen = candidates[index % len(candidates)]
         else:
-            chosen = candidates[0]
-        paths[request.flow_name] = by_name[chosen]
+            paths[request.flow_name] = path
     return paths, unplaced
 
 
@@ -136,10 +162,10 @@ class BackgroundAggregate:
     At 100k–1M mice, even the per-flow *fluid* path is too expensive:
     dict-of-spans bookkeeping and one solver variable per mouse dominate
     the run.  This structure collapses the background into **flow
-    classes** — one class per candidate tunnel actually chosen by the
-    round-robin spreading rule (same rotation as
-    :func:`assign_class_paths` with ``spread=True``, so class membership
-    is bit-identical to where per-flow mode would have put each mouse).
+    classes** — one class per candidate-tunnel path actually chosen by
+    the round-robin spreading rule (the rotation
+    :func:`assign_class_paths` applies with ``spread=True``, so class
+    membership is exactly where per-flow mode would have put each mouse).
     Members live on in columnar numpy arrays (start, end, rate cap,
     class index), so every per-epoch reduction is a ``bincount`` over
     100k rows instead of 100k dict operations, and the fluid solver sees
@@ -178,42 +204,27 @@ def aggregate_background(
     requests: Sequence[FlowRequest],
     horizon: float,
 ) -> BackgroundAggregate:
-    """Group background flows into per-tunnel classes, columnar form.
+    """Group background flows into per-path classes, columnar form.
 
-    Placement is the **identical rotation** :func:`assign_class_paths`
-    applies with ``spread=True`` — member *i* of each (ingress, egress)
-    group lands on candidate ``i % k`` — so aggregate mode changes the
+    Placement is the rotation :func:`assign_class_paths` applies with
+    ``spread=True`` — member *i* of each (ingress, egress) group lands
+    on candidate ``i % k`` — so aggregate mode changes the
     representation of the mice, never where they are routed.  Spans are
     clamped to ``[0, horizon]`` exactly as the per-flow solver's
-    ``_solve_inputs`` clamps them; CBR (rate-capped UDP) members record
+    ``solve_inputs`` clamps them; CBR (rate-capped UDP) members record
     their cap, elastic members record ``inf``.
     """
-    by_name = {name: path for name, _, path in tunnels}
-    rotation: Dict[Tuple[str, str], int] = {}
-    class_index: Dict[str, int] = {}
-    class_paths: List[Tuple[str, ...]] = []
+    class_index: Dict[Tuple[str, ...], int] = {}
     starts: List[float] = []
     ends: List[float] = []
     caps: List[float] = []
     class_of: List[int] = []
     unplaced = 0
-    for request in requests:
-        pair = (
-            network.edge_router_of(request.src),
-            network.edge_router_of(request.dst),
-        )
-        candidates = select_candidates(by_name, *pair)
-        if not candidates:
+    for request, path in _placements(network, tunnels, requests, True):
+        if path is None:
             unplaced += 1
             continue
-        index = rotation.get(pair, 0)
-        rotation[pair] = index + 1
-        chosen = candidates[index % len(candidates)]
-        k = class_index.get(chosen)
-        if k is None:
-            k = len(class_paths)
-            class_index[chosen] = k
-            class_paths.append(by_name[chosen])
+        class_of.append(class_index.setdefault(path, len(class_index)))
         starts.append(min(request.start_at, horizon))
         ends.append(min(request.start_at + request.duration, horizon))
         caps.append(
@@ -221,9 +232,8 @@ def aggregate_background(
             if request.protocol == "udp" and request.rate_mbps
             else np.inf
         )
-        class_of.append(k)
     return BackgroundAggregate(
-        class_paths=tuple(class_paths),
+        class_paths=tuple(class_index),
         starts=np.asarray(starts, dtype=float),
         ends=np.asarray(ends, dtype=float),
         caps=np.asarray(caps, dtype=float),
@@ -289,6 +299,14 @@ class EpochSolve:
     ``overlaps`` maps every *active* flow (including blacked-out ones)
     to the seconds its span intersects the epoch; ``blacked`` names the
     flows crossing a failed link for the whole epoch.
+
+    A background solved as a :class:`BackgroundAggregate` appears only
+    as per-class columns (empty without one): ``class_rates`` is each
+    class's **time-averaged** Mbps across the epoch (the solver's
+    per-member allocation scaled by the members' mean overlap fraction)
+    and ``blacked_members`` counts the active members of classes whose
+    path crossed a failed link (the aggregate analogue of a per-flow
+    blackout, counted into ``drops``).
     """
 
     t0: float
@@ -296,6 +314,56 @@ class EpochSolve:
     rates: Mapping[str, float]
     overlaps: Mapping[str, float]
     blacked: Tuple[str, ...]
+    class_rates: np.ndarray
+    blacked_members: int
+
+
+def _class_claims(
+    aggregate: BackgroundAggregate,
+    blocked: np.ndarray,
+    t0: float,
+    t1: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One epoch's per-class reductions over the aggregate's columns.
+
+    Returns ``(count, population, bound, blacked_members)``: the members
+    overlapping the epoch (the class's solver weight — per-flow mode
+    likewise treats every epoch-overlapping flow as fully concurrent
+    regardless of its sub-interval), their time-averaged number (what
+    scales the solver's allocation into carried load), the class's
+    demand bound (summed CBR caps; one elastic member makes the whole
+    class elastic, ``inf``), and the active members of ``blocked``
+    classes, which claim nothing.
+    """
+    n_classes = len(aggregate.class_paths)
+    member_overlap = np.clip(
+        np.minimum(aggregate.ends, t1) - np.maximum(aggregate.starts, t0),
+        0.0,
+        None,
+    )
+    member_blocked = blocked[aggregate.class_of]
+    blacked_members = int(
+        np.count_nonzero((member_overlap > 0.0) & member_blocked)
+    )
+    usable = np.where(member_blocked, 0.0, member_overlap)
+    population = np.bincount(
+        aggregate.class_of, weights=usable, minlength=n_classes
+    ) / (t1 - t0)
+    member = usable > 0.0
+    count = np.bincount(
+        aggregate.class_of, weights=member.astype(float), minlength=n_classes
+    )
+    finite = np.isfinite(aggregate.caps)
+    capped_sum = np.bincount(
+        aggregate.class_of,
+        weights=np.where(finite & member, aggregate.caps, 0.0),
+        minlength=n_classes,
+    )
+    elastic_members = np.bincount(
+        aggregate.class_of, weights=member & ~finite, minlength=n_classes
+    )
+    bound = np.where(elastic_members > 0.0, np.inf, capped_sum)
+    return count, population, bound, blacked_members
 
 
 def solve_epochs(
@@ -306,6 +374,7 @@ def solve_epochs(
     probes: Set[str],
     failure_plan: Sequence[FailureEvent],
     edges: Sequence[float],
+    aggregate: Optional[BackgroundAggregate] = None,
 ) -> List[EpochSolve]:
     """Fluid max-min rates for every epoch between consecutive edges.
 
@@ -315,10 +384,28 @@ def solve_epochs(
     with capacity (they are latency instruments, not load).  Rate caps
     (CBR UDP senders) bound the elastic share via
     :func:`repro.net.fluid.max_min_fair_bounded`.
+
+    With an ``aggregate``, its mouse classes join the same solve as
+    weighted claimants next to the per-flow entries (``spans``/``paths``
+    then hold the foreground only): each class claims one fair share per
+    member overlapping the epoch, under its summed CBR demand bound, and
+    the class allocation is scaled by the members' mean overlap fraction
+    before it becomes ``class_rates`` — the aggregate form of per-flow
+    mode crediting ``rate * overlap / duration`` per mouse.  Because
+    every member of a class shares one path by construction, the two
+    modes coincide (to the last few ulps — the arithmetic is grouped
+    differently) whenever a class's members carry identical caps, always
+    true for the generated scale workloads; mixed caps within one class
+    are the only residual approximation.
     """
+    class_paths = aggregate.class_paths if aggregate is not None else ()
+    class_links = [
+        frozenset(tuple(sorted(hop)) for hop in zip(path[:-1], path[1:]))
+        for path in class_paths
+    ]
     plan = list(failure_plan)  # already time-ordered
     next_event = 0
-    failed: Set[Tuple[str, str]] = set()
+    failed: Set[Tuple[str, ...]] = set()
     solves: List[EpochSolve] = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
         if t1 <= t0:
@@ -347,15 +434,39 @@ def solve_epochs(
                 blacked.append(name)  # blacked out for this whole epoch
             elif name not in probes:
                 healthy.append(name)
-        rates = (
-            max_min_fair_bounded(
-                {name: paths[name] for name in healthy},
-                capacities,
-                rate_caps,
+        claimants: Dict[str, Tuple[str, ...]] = {
+            name: paths[name] for name in healthy
+        }
+        bounds: Mapping[str, float] = rate_caps
+        weights: Optional[Dict[str, float]] = None
+        class_names: Dict[str, int] = {}
+        blacked_members = 0
+        if aggregate is not None:
+            blocked = np.array(
+                [bool(links & failed) for links in class_links], dtype=bool
             )
-            if healthy
+            count, population, bound, blacked_members = _class_claims(
+                aggregate, blocked, t0, t1
+            )
+            class_names = {
+                f"class:{k}": int(k) for k in np.flatnonzero(count > 0.0)
+            }
+            weights = {}
+            class_bounds = dict(rate_caps)
+            for name, k in class_names.items():
+                claimants[name] = class_paths[k]
+                weights[name] = float(count[k])
+                if np.isfinite(bound[k]):
+                    class_bounds[name] = float(bound[k])
+            bounds = class_bounds
+        rates = (
+            max_min_fair_bounded(claimants, capacities, bounds, weights)
+            if claimants
             else {}
         )
+        class_rates = np.zeros(len(class_paths))
+        for name, k in class_names.items():
+            class_rates[k] = rates.pop(name) * population[k] / count[k]
         solves.append(
             EpochSolve(
                 t0=t0,
@@ -363,6 +474,8 @@ def solve_epochs(
                 rates=rates,
                 overlaps=overlaps,
                 blacked=tuple(blacked),
+                class_rates=class_rates,
+                blacked_members=blacked_members,
             )
         )
     return solves
@@ -372,6 +485,7 @@ def background_epochs(
     solves: Sequence[EpochSolve],
     background: Set[str],
     paths: Mapping[str, Tuple[str, ...]],
+    aggregate: Optional[BackgroundAggregate] = None,
     min_load_mbps: float = 1e-9,
 ) -> List[BackgroundEpoch]:
     """Collapse solved background rates into per-link load timelines.
@@ -379,234 +493,26 @@ def background_epochs(
     Each epoch's load on a directed link is the sum, over background
     flows crossing it, of the flow's fair rate time-averaged across the
     epoch (``rate * overlap / epoch length``) — what an observer
-    sampling the link over the epoch would measure.  Foreground flows
-    are claimants in the solve but never contribute load here; the
-    packet domain carries them for real.
+    sampling the link over the epoch would measure — plus, for an
+    ``aggregate``d background, each class's ``class_rates`` entry
+    (already time-averaged) along the class's path.  Foreground flows are
+    claimants in the solve but never contribute load here; the packet
+    domain carries them for real.
     """
+    class_paths = aggregate.class_paths if aggregate is not None else ()
     epochs: List[BackgroundEpoch] = []
     for solve in solves:
         duration = solve.t1 - solve.t0
+        carried = [
+            (paths[name], rate * solve.overlaps[name] / duration)
+            for name, rate in solve.rates.items()
+            if name in background
+        ]
+        carried.extend(zip(class_paths, solve.class_rates.tolist()))
         loads: Dict[Tuple[str, str], float] = {}
-        for name, rate in solve.rates.items():
-            if name not in background:
-                continue
-            mbps = rate * solve.overlaps[name] / duration
+        for path, mbps in carried:
             if mbps <= min_load_mbps:
                 continue
-            path = paths[name]
-            for hop in zip(path[:-1], path[1:]):
-                loads[hop] = loads.get(hop, 0.0) + mbps
-        epochs.append(BackgroundEpoch(t0=solve.t0, t1=solve.t1, loads=loads))
-    return epochs
-
-
-@dataclass(frozen=True)
-class AggregateEpochSolve:
-    """One solved epoch in aggregate-mice mode.
-
-    Foreground flows keep the per-flow semantics of
-    :class:`EpochSolve` (``rates``/``overlaps``/``blacked``); the
-    background appears only as per-class columns: ``class_rates`` is
-    each class's **time-averaged** Mbps across the epoch (the solver's
-    per-member allocation scaled by the members' mean overlap
-    fraction), ``class_weight`` the fractional number of concurrently
-    active members, and ``blacked_members`` how many active members sat
-    on a class whose path crossed a failed link (the aggregate analogue
-    of a per-flow blackout, counted into ``drops``).
-    """
-
-    t0: float
-    t1: float
-    rates: Mapping[str, float]
-    overlaps: Mapping[str, float]
-    blacked: Tuple[str, ...]
-    class_rates: np.ndarray
-    class_weight: np.ndarray
-    blacked_members: int
-
-
-def solve_epochs_aggregate(
-    spans: Mapping[str, Tuple[float, float]],
-    paths: Mapping[str, Tuple[str, ...]],
-    capacities: Mapping[Tuple[str, str], float],
-    rate_caps: Mapping[str, float],
-    probes: Set[str],
-    failure_plan: Sequence[FailureEvent],
-    edges: Sequence[float],
-    aggregate: BackgroundAggregate,
-) -> List[AggregateEpochSolve]:
-    """Per-epoch weighted fluid solve: foreground flows vs mouse classes.
-
-    The foreground side replays failures and blacks out flows exactly
-    as :func:`solve_epochs`.  The background side is vectorized: member
-    overlaps, class populations and CBR demand bounds are all
-    ``bincount`` reductions over the aggregate's columns, and the fair
-    allocation is one :func:`repro.net.fluid.max_min_fair_weighted`
-    call where each class claims one fair share per member overlapping
-    the epoch — the same claim those members make as individual
-    variables in per-flow mode, which treats every epoch-overlapping
-    flow as fully concurrent regardless of its sub-interval.  A class
-    whose members all carry finite CBR caps is bounded by their summed
-    caps; one elastic member makes the whole class elastic.
-
-    The solver's class allocation is then scaled by the members' mean
-    overlap fraction (time-averaged population / member count) before
-    it becomes link load — the aggregate form of per-flow mode crediting
-    ``rate * overlap / duration`` per mouse.  Because every member of a
-    class shares one path by construction, the two modes coincide
-    exactly whenever a class's members carry identical caps (always
-    true for the generated scale workloads); mixed caps within one
-    class are the only residual approximation.
-    """
-    n_classes = len(aggregate.class_paths)
-    class_links = [
-        frozenset(tuple(sorted(hop)) for hop in zip(path[:-1], path[1:]))
-        for path in aggregate.class_paths
-    ]
-    plan = list(failure_plan)  # already time-ordered
-    next_event = 0
-    failed: Set[Tuple[str, str]] = set()
-    solves: List[AggregateEpochSolve] = []
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        if t1 <= t0:
-            continue
-        while next_event < len(plan) and plan[next_event].at <= t0:
-            event = plan[next_event]
-            key = tuple(sorted((event.a, event.b)))
-            if event.action == "fail":
-                failed.add(key)
-            else:
-                failed.discard(key)
-            next_event += 1
-        duration = t1 - t0
-        # ----- foreground: identical bookkeeping to solve_epochs
-        overlaps: Dict[str, float] = {}
-        for name, (start, end) in spans.items():
-            overlap = min(end, t1) - max(start, t0)
-            if overlap > 0.0:
-                overlaps[name] = overlap
-        blacked: List[str] = []
-        healthy: List[str] = []
-        for name in overlaps:
-            links = {
-                tuple(sorted(hop))
-                for hop in zip(paths[name][:-1], paths[name][1:])
-            }
-            if links & failed:
-                blacked.append(name)
-            elif name not in probes:
-                healthy.append(name)
-        # ----- background: columnar reductions over the aggregate
-        member_overlap = np.clip(
-            np.minimum(aggregate.ends, t1) - np.maximum(aggregate.starts, t0),
-            0.0,
-            None,
-        )
-        active = member_overlap > 0.0
-        if failed:
-            blocked = np.array(
-                [bool(links & failed) for links in class_links], dtype=bool
-            )
-        else:
-            blocked = np.zeros(n_classes, dtype=bool)
-        blacked_members = (
-            int(np.count_nonzero(active & blocked[aggregate.class_of]))
-            if n_classes
-            else 0
-        )
-        usable = np.where(blocked[aggregate.class_of], 0.0, member_overlap)
-        class_weight = (
-            np.bincount(
-                aggregate.class_of, weights=usable, minlength=n_classes
-            )
-            / duration
-        )
-        member = usable > 0.0
-        class_count = np.bincount(
-            aggregate.class_of,
-            weights=member.astype(float),
-            minlength=n_classes,
-        )
-        finite = np.isfinite(aggregate.caps)
-        capped_sum = np.bincount(
-            aggregate.class_of,
-            weights=np.where(finite & member, aggregate.caps, 0.0),
-            minlength=n_classes,
-        )
-        elastic_members = np.bincount(
-            aggregate.class_of,
-            weights=member & ~finite,
-            minlength=n_classes,
-        )
-        class_bound = np.where(elastic_members > 0.0, np.inf, capped_sum)
-        # ----- one weighted solve over foreground flows + mouse classes
-        flow_paths: Dict[str, Tuple[str, ...]] = {
-            name: paths[name] for name in healthy
-        }
-        weights: Dict[str, float] = {name: 1.0 for name in healthy}
-        bounds: Dict[str, float] = {
-            name: rate_caps[name] for name in healthy if name in rate_caps
-        }
-        for k in range(n_classes):
-            if class_count[k] <= 0.0:
-                continue
-            cname = f"class:{k}"
-            flow_paths[cname] = aggregate.class_paths[k]
-            weights[cname] = float(class_count[k])
-            if np.isfinite(class_bound[k]):
-                bounds[cname] = float(class_bound[k])
-        fair = (
-            max_min_fair_weighted(flow_paths, capacities, bounds, weights)
-            if flow_paths
-            else {}
-        )
-        # the solver allocates per concurrent member; the carried load
-        # is that scaled by the mean overlap fraction, exactly per-flow
-        # mode's rate * overlap / duration credited per mouse
-        class_rates = np.zeros(n_classes)
-        rates: Dict[str, float] = {}
-        for name, rate in fair.items():
-            if name.startswith("class:"):
-                k = int(name[6:])
-                class_rates[k] = rate * class_weight[k] / class_count[k]
-            else:
-                rates[name] = rate
-        solves.append(
-            AggregateEpochSolve(
-                t0=t0,
-                t1=t1,
-                rates=rates,
-                overlaps=overlaps,
-                blacked=tuple(blacked),
-                class_rates=class_rates,
-                class_weight=class_weight,
-                blacked_members=blacked_members,
-            )
-        )
-    return solves
-
-
-def aggregate_background_epochs(
-    solves: Sequence[AggregateEpochSolve],
-    aggregate: BackgroundAggregate,
-    min_load_mbps: float = 1e-9,
-) -> List[BackgroundEpoch]:
-    """Per-link background load timelines from aggregate solves.
-
-    ``class_rates`` are already time-averaged over the epoch (the class
-    weight folded in each member's overlap fraction), so each class's
-    rate lands on its path's directed hops as-is — the aggregate
-    analogue of :func:`background_epochs`, at one sum per class instead
-    of one per mouse.
-    """
-    epochs: List[BackgroundEpoch] = []
-    for solve in solves:
-        loads: Dict[Tuple[str, str], float] = {}
-        for k, rate in enumerate(solve.class_rates):
-            mbps = float(rate)
-            if mbps <= min_load_mbps:
-                continue
-            path = aggregate.class_paths[k]
             for hop in zip(path[:-1], path[1:]):
                 loads[hop] = loads.get(hop, 0.0) + mbps
         epochs.append(BackgroundEpoch(t0=solve.t0, t1=solve.t1, loads=loads))

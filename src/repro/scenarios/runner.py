@@ -21,9 +21,8 @@ into a :class:`ScenarioResult` through three phases:
    instantiate it for this scenario, and drive the three-stage protocol:
    ``prepare(scenario, network, tunnels, context)`` → ``execute()`` →
    ``collect()``.  The backend implementations (DES, fluid, hybrid,
-   hybrid-aggregate, the emulation bridge) live in
-   :mod:`repro.backends`; see docs/BACKENDS.md for each one's model and
-   metric semantics;
+   the emulation bridge) live in :mod:`repro.backends`; see
+   docs/BACKENDS.md for each one's model and metric semantics;
 
 3. **uniform result validation** — every backend's
    :class:`ScenarioResult` is checked against the prepared workload
@@ -56,7 +55,6 @@ bidirectional workloads never wrongly compete for one shared entry.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Type, Union
@@ -69,13 +67,6 @@ from repro.framework import SelfDrivingNetwork
 from repro.framework.scheduler import FlowRequest
 from repro.hecate.service import default_model_factory
 from repro.ml import LinearRegression
-
-# Back-compat re-exports: these helpers were importable from this module
-# before the backend extraction (PR 9) and public code may still do so.
-from repro.net.fluid import (  # noqa: F401
-    link_capacities,
-    max_min_fair_bounded,
-)
 from repro.net.topology import Network
 
 from .dynamic import compile_phases
@@ -98,10 +89,6 @@ MODEL_FACTORIES = {
     "linear": LinearRegression,
     "rfr": default_model_factory,
 }
-
-#: Backwards-compat alias: the bounded water-filling solver grew into a
-#: public fluid-model API (the hybrid epoch solver shares it).
-_max_min_with_bounds = max_min_fair_bounded
 
 
 def derive_tunnels(
@@ -332,7 +319,7 @@ class ScenarioRunner:
         self.setup()
         backend = self._backend_instance
         if backend is None:
-            backend = self._backend_cls.for_scenario(self.scenario)
+            backend = self._backend_cls()
         assert self.network is not None
         backend.prepare(self.scenario, self.network, self.tunnels, self)
         backend.execute()
@@ -382,36 +369,3 @@ class ScenarioRunner:
         from repro.backends.des import collect_des
 
         return collect_des(self)
-
-    # ----------------------------------------------- deprecated internals
-
-    def _deprecated_backend_run(
-        self, name: str, method: str
-    ) -> ScenarioResult:
-        warnings.warn(
-            f"ScenarioRunner.{method}() is "
-            "deprecated; resolve the backend through "
-            "repro.backends.get_backend() and drive "
-            "prepare()/execute()/collect(), or just call run()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self.setup()
-        backend = get_backend(name).for_scenario(self.scenario)
-        assert self.network is not None
-        backend.prepare(self.scenario, self.network, self.tunnels, self)
-        backend.execute()
-        return self._validate(backend.collect())
-
-    def _run_fluid(self) -> ScenarioResult:
-        """Deprecated shim; use ``get_backend("fluid")``."""
-        return self._deprecated_backend_run("fluid", "_run_fluid")
-
-    def _run_hybrid(self) -> ScenarioResult:
-        """Deprecated shim; use ``get_backend("hybrid")``."""
-        return self._deprecated_backend_run("hybrid", "_run_hybrid")
-
-    def _run_hybrid_aggregate(self) -> ScenarioResult:
-        """Deprecated shim; use ``get_backend("hybrid")`` (its
-        ``for_scenario`` picks aggregate mode from the scenario)."""
-        return self._deprecated_backend_run("hybrid", "_run_hybrid_aggregate")

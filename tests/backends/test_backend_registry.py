@@ -15,7 +15,7 @@ from repro.backends.base import _REGISTRY
 from repro.backends.des import DesBackend
 from repro.backends.emulation import EmulationBackend
 from repro.backends.fluid import FluidBackend
-from repro.backends.hybrid import HybridAggregateBackend, HybridBackend
+from repro.backends.hybrid import HybridBackend
 from repro.scenarios import ScenarioRunner, get_scenario
 
 
@@ -127,20 +127,24 @@ class TestSpecValidation:
 
 
 class TestLifecycle:
-    def test_for_scenario_picks_aggregate_hybrid(self):
+    def test_one_hybrid_class_serves_both_modes(self):
         import dataclasses
 
-        plain = get_scenario("wan-elephant-mice")
-        assert type(HybridBackend.for_scenario(plain)) is HybridBackend
+        plain = get_scenario("wan-elephant-mice").quick(
+            horizon=3.0, warmup=1.0
+        )
         aggregated = plain.with_overrides(
             classes=dataclasses.replace(
                 plain.classes, aggregate_background=True
             )
         )
-        picked = HybridBackend.for_scenario(aggregated)
-        assert type(picked) is HybridAggregateBackend
-        # the aggregate sibling answers to the same registry name
-        assert picked.name == "hybrid"
+        assert get_backend("hybrid") is HybridBackend
+        per_flow = ScenarioRunner(plain, backend=HybridBackend).run()
+        per_class = ScenarioRunner(aggregated, backend=HybridBackend).run()
+        assert per_flow.backend == per_class.backend == "hybrid"
+        assert per_flow.background_classes == 0
+        assert per_class.background_classes > 0
+        assert per_class.background_flows == per_flow.background_flows
 
     def test_prepare_is_single_use(self):
         scenario = get_scenario("ring-uniform").quick(horizon=6.0, warmup=2.0)
@@ -198,31 +202,3 @@ class TestRunnerDispatch:
         scenario = get_scenario("ring-uniform").quick(horizon=6.0, warmup=2.0)
         with pytest.raises(ValueError, match="inconsistent result"):
             ScenarioRunner(scenario, backend=LyingBackend).run()
-
-
-class TestDeprecatedShims:
-    def test_run_fluid_warns_and_matches_run(self):
-        scenario = get_scenario("ring-uniform").quick(horizon=6.0, warmup=2.0)
-        expected = ScenarioRunner(scenario, backend="fluid").run()
-        runner = ScenarioRunner(scenario, backend="fluid")
-        with pytest.warns(DeprecationWarning, match="_run_fluid"):
-            result = runner._run_fluid()
-        assert result == expected
-
-    def test_run_hybrid_warns_and_matches_run(self):
-        scenario = get_scenario("wan-elephant-mice").quick(
-            horizon=6.0, warmup=2.0
-        )
-        expected = ScenarioRunner(scenario, backend="hybrid").run()
-        runner = ScenarioRunner(scenario, backend="hybrid")
-        with pytest.warns(DeprecationWarning, match="get_backend"):
-            result = runner._run_hybrid()
-        assert result == expected
-
-    def test_string_dispatch_stays_silent(self):
-        import warnings
-
-        scenario = get_scenario("ring-uniform").quick(horizon=6.0, warmup=2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ScenarioRunner(scenario, backend="fluid").run()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hecate.objectives import (
-    OBJECTIVES,
     ObjectiveSpec,
     PathForecast,
     _REGISTRY,
@@ -35,14 +34,13 @@ class TestRegistry:
         assert objective_names() == BUILTINS
         assert [s.name for s in list_objectives()] == list(BUILTINS)
 
-    def test_mapping_facade_keeps_call_style(self):
+    def test_lookup_returns_the_named_chooser(self):
         fat = _forecast("fat", 50.0)
         thin = _forecast("thin", 5.0)
-        assert OBJECTIVES["max_bandwidth"]([thin, fat]) is fat
-        assert sorted(OBJECTIVES) == list(BUILTINS)
-        assert len(OBJECTIVES) == len(BUILTINS)
+        assert get_objective("max_bandwidth").chooser([thin, fat]) is fat
+        assert len(objective_names()) == len(BUILTINS)
         with pytest.raises(KeyError):
-            OBJECTIVES["no_such_objective"]
+            get_objective("no_such_objective")
 
     def test_only_max_qoe_is_app_aware(self):
         aware = [s.name for s in list_objectives() if s.app_aware]
@@ -67,7 +65,8 @@ class TestRegistry:
         try:
             assert "test_first_path" in objective_names()
             first = _forecast("a", 1.0)
-            assert OBJECTIVES["test_first_path"]([first]) is first
+            chooser = get_objective("test_first_path").chooser
+            assert chooser([first]) is first
         finally:
             del _REGISTRY["test_first_path"]
         assert "test_first_path" not in objective_names()
@@ -79,7 +78,8 @@ class TestChooseMaxQoe:
         near = _forecast("near", 1.0, latency_ms=2.0)
         assert choose_max_qoe([far, near], "voip") is near
         # bandwidth-first objectives disagree on the same forecasts
-        assert OBJECTIVES["max_bandwidth"]([far, near], "voip") is far
+        max_bandwidth = get_objective("max_bandwidth").chooser
+        assert max_bandwidth([far, near], "voip") is far
 
     def test_video_prefers_the_fat_path(self):
         far = _forecast("far", 50.0, latency_ms=300.0)

@@ -20,7 +20,7 @@ import json
 import pytest
 
 from repro.net.background import BackgroundEpoch
-from repro.net.fluid import max_min_fair_weighted
+from repro.net.fluid import max_min_fair_bounded
 from repro.scenarios import (
     FlowClassSpec,
     ScenarioRunner,
@@ -313,19 +313,19 @@ class TestHybridRunner:
 
 
 class TestWeightedSolver:
-    """``max_min_fair_weighted`` contract: a class entry of integer
+    """``max_min_fair_bounded(..., weights=)``: a class entry of integer
     weight k is exactly k unit flows riding the same path."""
 
     CAPS = {("a", "b"): 8.0, ("b", "c"): 100.0}
 
     def test_integer_weight_equals_duplicated_unit_flows(self):
-        weighted = max_min_fair_weighted(
+        weighted = max_min_fair_bounded(
             {"fg": ["a", "b"], "class:0": ["a", "b", "c"]},
             self.CAPS,
             bounds={},
             weights={"fg": 1.0, "class:0": 3.0},
         )
-        unit = max_min_fair_weighted(
+        unit = max_min_fair_bounded(
             {"fg": ["a", "b"], "m0": ["a", "b", "c"],
              "m1": ["a", "b", "c"], "m2": ["a", "b", "c"]},
             self.CAPS,
@@ -344,7 +344,7 @@ class TestWeightedSolver:
     def test_fractional_weight_scales_the_share(self):
         # a half-populated class (time-averaged 0.5 concurrent members)
         # claims half a fair share
-        rates = max_min_fair_weighted(
+        rates = max_min_fair_bounded(
             {"fg": ["a", "b"], "class:0": ["a", "b"]},
             self.CAPS,
             bounds={},
@@ -354,7 +354,7 @@ class TestWeightedSolver:
         assert rates["class:0"] == pytest.approx(0.5 * 8.0 / 1.5)
 
     def test_zero_weight_class_gets_nothing_and_claims_nothing(self):
-        rates = max_min_fair_weighted(
+        rates = max_min_fair_bounded(
             {"fg": ["a", "b"], "class:0": ["a", "b"]},
             self.CAPS,
             bounds={},
@@ -366,7 +366,7 @@ class TestWeightedSolver:
     def test_bounded_class_pins_and_reshares(self):
         # a CBR-bounded class pins at its aggregate ceiling; the elastic
         # foreground flow soaks up the rest of the bottleneck
-        rates = max_min_fair_weighted(
+        rates = max_min_fair_bounded(
             {"fg": ["a", "b"], "class:0": ["a", "b"]},
             self.CAPS,
             bounds={"class:0": 1.0},

@@ -55,9 +55,9 @@ class TestFluidBackend:
     def test_udp_rate_caps_leave_capacity_to_elastic_flows(self):
         """Bounded max-min: a 2 Mbps CBR flow must not pin a co-bottlenecked
         TCP flow to half the link."""
-        from repro.scenarios.runner import _max_min_with_bounds
+        from repro.net.fluid import max_min_fair_bounded
 
-        rates = _max_min_with_bounds(
+        rates = max_min_fair_bounded(
             {"udp": ("a", "b"), "tcp": ("a", "b")},
             {("a", "b"): 50.0},
             {"udp": 2.0},
