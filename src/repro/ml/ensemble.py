@@ -5,6 +5,16 @@ Five of the paper's eighteen entrants (R1, R3, R6, R8, R13) — and, per its
 Fig. 6, the family that wins the tournament (RFR and GBR have the lowest
 RMSE and RFR is the model integrated into the routing framework).
 Defaults track scikit-learn's.
+
+RFR sits inside the controller's placement loop (Hecate refits and
+forecasts 10 steps per candidate path, one row at a time), so its cost
+per call matters more than its cost per row: the forest validates its
+input once per ``fit``/``predict``, packs its fitted trees into one node
+table and routes every (tree, row) pair through it together.  The
+packed pass is the forest's only prediction path and is bit-equal to
+the mean of ``estimators_[i].predict`` (docs/PERFORMANCE.md, "Hecate
+against the tick budget").  The other four ensembles run in no
+benchmark workload and keep the plain per-member loop.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from .base import (
     clone,
     resolve_rng,
 )
-from .tree import DecisionTreeRegressor
+from .tree import _NO_FEATURE, DecisionTreeRegressor
 
 __all__ = [
     "BaggingRegressor",
@@ -123,7 +133,8 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         n = X.shape[0]
         rng = resolve_rng(self.random_state)
-        self.estimators_ = []
+        w = np.ones(n)
+        trees = []
         for _ in range(self.n_estimators):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -133,15 +144,42 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
                 random_state=_seed_for(rng),
             )
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree.fit(X[idx], y[idx])
-            self.estimators_.append(tree)
+            # X, y were checked above: skip the per-tree re-validation
+            trees.append(tree._grow(X[idx], y[idx], w))
+        # one node table for the whole forest: the trees' arrays end to
+        # end, child links shifted by each tree's offset (a leaf's links
+        # are never followed, so shifting its -1 is harmless)
+        sizes = [tree.n_nodes_ for tree in trees[:-1]]
+        self._roots = roots = np.cumsum([0] + sizes, dtype=np.intp)
+        self._feature = np.concatenate([t.feature_ for t in trees])
+        self._threshold = np.concatenate([t.threshold_ for t in trees])
+        self._left = np.concatenate([t.left_ + o for t, o in zip(trees, roots)])
+        self._right = np.concatenate([t.right_ + o for t, o in zip(trees, roots)])
+        self._value = np.concatenate([t.value_ for t in trees])
+        self.estimators_ = trees
         return self
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
         X = check_array(X)
-        preds = np.stack([tree.predict(X) for tree in self.estimators_])
-        return preds.mean(axis=0)
+        n, p = X.shape
+        expected = self.estimators_[0].n_features_in_
+        if p != expected:
+            raise ValueError(f"expected {expected} features, got {p}")
+        # route every (tree, row) pair together, tree-major, one level
+        # per iteration; ``active`` holds the pairs still at a split node
+        feature = self._feature
+        nodes = np.repeat(self._roots, n)
+        active = np.flatnonzero(feature[nodes] != _NO_FEATURE)
+        while active.size:
+            at = nodes[active]
+            go_left = X[active % n, feature[at]] <= self._threshold[at]
+            at = np.where(go_left, self._left[at], self._right[at])
+            nodes[active] = at
+            active = active[feature[at] != _NO_FEATURE]
+        # the same C-contiguous (n_trees, n) array the per-tree stack
+        # built, so the mean adds in the same order: bit-equal output
+        return self._value[nodes].reshape(-1, n).mean(axis=0)
 
 
 class AdaBoostRegressor(BaseEstimator, RegressorMixin):

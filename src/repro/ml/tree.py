@@ -6,6 +6,11 @@ Boosting).  Split search is vectorized per node with prefix sums over the
 sorted feature column — the textbook weighted-variance-reduction CART —
 and prediction routes all samples level-by-level with numpy masks instead
 of per-sample Python recursion.
+
+``fit`` is input validation followed by ``_grow``; the random forest
+validates once and calls ``_grow`` per bootstrap sample, then predicts
+from its own packed copy of the node arrays.  ``predict`` here stays the
+one-tree reference the forest's tests compare against.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
 
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
-        n, p = X.shape
+        n = X.shape[0]
         if sample_weight is None:
             w = np.ones(n)
         else:
@@ -159,9 +164,17 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 raise ValueError("sample_weight length mismatch")
             if (w < 0).any() or w.sum() <= 0:
                 raise ValueError("sample_weight must be non-negative with positive sum")
+        return self._grow(X, y, w)
+
+    def _grow(self, X, y, w) -> "DecisionTreeRegressor":
+        """Grow on arrays the caller has already validated (``fit``, or
+        the forest, which checks once and passes bootstrap rows)."""
+        n, p = X.shape
         self.n_features_in_ = p
-        rng = resolve_rng(self.random_state)
         k_features = self._n_candidate_features(p)
+        # seeding a Generator costs more than a single-leaf tree; only
+        # per-node feature subsampling ever draws from it
+        rng = resolve_rng(self.random_state) if k_features < p else None
         buffers = _TreeBuffers()
         self.depth_ = 0
 

@@ -15,6 +15,7 @@ from repro.ml import (
     RandomForestRegressor,
     root_mean_squared_error,
 )
+from repro.ml.base import NotFittedError
 
 
 def friedman_like(n=300, seed=0, noise=0.2):
@@ -252,3 +253,194 @@ class TestEnsembleMechanics:
                 cls(n_estimators=0)
         with pytest.raises(ValueError):
             HistGradientBoostingRegressor(max_iter=0)
+
+
+def _replayed_trees(forest, X, y):
+    """``DecisionTreeRegressor.fit`` on the bootstrap rows the forest
+    drew — the forest's RNG stream replayed from its seed."""
+    rng = np.random.default_rng(forest.random_state)
+    n = X.shape[0]
+    trees = []
+    for _ in range(forest.n_estimators):
+        seed = int(rng.integers(0, 2**31 - 1))
+        idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        trees.append(
+            DecisionTreeRegressor(
+                max_depth=forest.max_depth,
+                max_features=forest.max_features,
+                random_state=seed,
+            ).fit(X[idx], y[idx])
+        )
+    return trees
+
+
+class TestPackedForest:
+    """The forest predicts from one packed node table; the per-tree loop
+    over ``estimators_`` (``DecisionTreeRegressor.predict``, untouched)
+    is the reference, and the two must agree to the byte."""
+
+    @given(
+        rows=st.integers(1, 64),
+        features=st.integers(1, 12),
+        trees=st.integers(1, 40),
+        max_features=st.sampled_from([1.0, "sqrt", 0.5, 1]),
+        max_depth=st.sampled_from([None, 1, 3]),
+        bootstrap=st.booleans(),
+        target=st.sampled_from(["smooth", "tied", "constant"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_packed_predict_equals_per_tree_mean(
+        self, rows, features, trees, max_features, max_depth, bootstrap,
+        target, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, features))
+        X[:, 0] = np.round(X[:, 0])  # tied feature values
+        if target == "constant":
+            y = np.full(rows, 87.5)
+        elif target == "tied":
+            y = np.round(X[:, 0] + X[:, -1])
+        else:
+            y = np.sin(X[:, 0]) + X[:, -1] ** 2
+        forest = RandomForestRegressor(
+            n_estimators=trees,
+            max_depth=max_depth,
+            max_features=max_features,
+            bootstrap=bootstrap,
+            random_state=seed,
+        ).fit(X, y)
+
+        Z = np.concatenate([X, rng.normal(size=(rows, features))])
+        for query in (Z, Z[:1]):
+            reference = np.stack(
+                [t.predict(query) for t in forest.estimators_]
+            ).mean(axis=0)
+            assert forest.predict(query).tobytes() == reference.tobytes()
+
+        replayed = _replayed_trees(forest, X, y)
+        assert len(forest.estimators_) == trees == len(replayed)
+        for member, ref in zip(forest.estimators_, replayed):
+            assert member.n_nodes_ == ref.n_nodes_
+            assert member.depth_ == ref.depth_
+            assert np.array_equal(member.feature_, ref.feature_)
+            assert member.threshold_.tobytes() == ref.threshold_.tobytes()
+            assert member.value_.tobytes() == ref.value_.tobytes()
+
+    def test_refit_repacks(self):
+        X, y = friedman_like(80)
+        forest = RandomForestRegressor(n_estimators=5, random_state=0).fit(X, y)
+        first = forest.predict(X)
+        forest.fit(X[:, :3], -y)
+        second = forest.predict(X[:, :3])
+        fresh = RandomForestRegressor(n_estimators=5, random_state=0)
+        assert np.array_equal(second, fresh.fit(X[:, :3], -y).predict(X[:, :3]))
+        assert not np.array_equal(first, second)
+        with pytest.raises(ValueError, match="expected 3 features, got 5"):
+            forest.predict(X)
+
+
+class TestForestBoundaryChecks:
+    """The forest validates once per call and its trees not at all, so
+    these are the only checks on the path; types and texts are the ones
+    the per-tree checks raised before."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(0)
+        return rng.normal(size=(40, 10)), rng.normal(size=40)
+
+    @staticmethod
+    def _forest():
+        return RandomForestRegressor(n_estimators=3, random_state=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite(self, bad):
+        X, y = self._data()
+        Xb, yb = X.copy(), y.copy()
+        Xb[3, 2] = bad
+        yb[0] = bad
+        with pytest.raises(ValueError, match="^X contains NaN or infinity$"):
+            self._forest().fit(Xb, y)
+        with pytest.raises(ValueError, match="^y contains NaN or infinity$"):
+            self._forest().fit(X, yb)
+
+    def test_fit_rejects_empty_and_mismatched(self):
+        X, y = self._data()
+        with pytest.raises(ValueError, match="^X has 0 samples$"):
+            self._forest().fit(np.empty((0, 10)), np.empty(0))
+        with pytest.raises(
+            ValueError, match="^X has 40 samples but y has 39$"
+        ):
+            self._forest().fit(X, y[:-1])
+
+    def test_failed_fit_leaves_forest_unfitted(self):
+        X, y = self._data()
+        forest = self._forest().set_params(max_features=11)
+        with pytest.raises(ValueError, match="max_features must be in"):
+            forest.fit(X, y)
+        with pytest.raises(NotFittedError):
+            forest.predict(X)
+
+    def test_predict_rejects_unfitted(self):
+        X, _ = self._data()
+        with pytest.raises(
+            NotFittedError,
+            match=r"^RandomForestRegressor is not fitted yet; "
+            r"call fit\(\) first$",
+        ):
+            self._forest().predict(X)
+
+    def test_predict_rejects_bad_input(self):
+        X, y = self._data()
+        forest = self._forest().fit(X, y)
+        for bad in (np.nan, np.inf):
+            Xb = X.copy()
+            Xb[3, 2] = bad
+            with pytest.raises(
+                ValueError, match="^X contains NaN or infinity$"
+            ):
+                forest.predict(Xb)
+        with pytest.raises(ValueError, match="^X has 0 samples$"):
+            forest.predict(np.empty((0, 10)))
+        with pytest.raises(ValueError, match="^expected 10 features, got 9$"):
+            forest.predict(X[:, :9])
+        with pytest.raises(ValueError, match="^expected 10 features, got 1$"):
+            forest.predict(X[0])  # 1-D input is read as one column
+
+
+class TestTreeRandomState:
+    """A tree draws from its RNG only for per-node feature subsampling;
+    the values below were captured before ``fit`` was split into
+    validation + ``_grow`` and the RNG made lazy."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(0)
+        return rng.normal(size=(40, 10)), rng.normal(size=40)
+
+    def test_generator_unconsumed_when_every_feature_is_a_candidate(self):
+        X, y = self._data()
+        for max_features in (None, 1.0, 10):
+            gen = np.random.default_rng(5)
+            before = gen.bit_generator.state
+            DecisionTreeRegressor(
+                max_features=max_features, random_state=gen
+            ).fit(X, y)
+            assert gen.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "params, nodes, next_draw",
+        [
+            ({"max_features": 3}, 79, 337712177),
+            ({"max_features": "sqrt", "max_depth": 2}, 7, 97227738),
+        ],
+    )
+    def test_generator_advances_exactly_as_before(
+        self, params, nodes, next_draw
+    ):
+        X, y = self._data()
+        gen = np.random.default_rng(5)
+        tree = DecisionTreeRegressor(random_state=gen, **params).fit(X, y)
+        assert tree.n_nodes_ == nodes
+        assert int(gen.integers(0, 2**31)) == next_draw
