@@ -149,12 +149,13 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         # one node table for the whole forest: the trees' arrays end to
         # end, child links shifted by each tree's offset (a leaf's links
         # are never followed, so shifting its -1 is harmless)
-        sizes = [tree.n_nodes_ for tree in trees[:-1]]
-        self._roots = roots = np.cumsum([0] + sizes, dtype=np.intp)
+        sizes = np.array([tree.n_nodes_ for tree in trees], dtype=np.intp)
+        self._roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(self._roots, sizes)
         self._feature = np.concatenate([t.feature_ for t in trees])
         self._threshold = np.concatenate([t.threshold_ for t in trees])
-        self._left = np.concatenate([t.left_ + o for t, o in zip(trees, roots)])
-        self._right = np.concatenate([t.right_ + o for t, o in zip(trees, roots)])
+        self._left = np.concatenate([t.left_ for t in trees]) + shift
+        self._right = np.concatenate([t.right_ for t in trees]) + shift
         self._value = np.concatenate([t.value_ for t in trees])
         self.estimators_ = trees
         return self

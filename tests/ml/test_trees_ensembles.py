@@ -340,15 +340,16 @@ class TestPackedForest:
             forest.predict(X)
 
 
+def small_noise():
+    """40 x 10 pure-noise regression problem (deep, irregular trees)."""
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(40, 10)), rng.normal(size=40)
+
+
 class TestForestBoundaryChecks:
     """The forest validates once per call and its trees not at all, so
     these are the only checks on the path; types and texts are the ones
     the per-tree checks raised before."""
-
-    @staticmethod
-    def _data():
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(40, 10)), rng.normal(size=40)
 
     @staticmethod
     def _forest():
@@ -356,7 +357,7 @@ class TestForestBoundaryChecks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_fit_rejects_non_finite(self, bad):
-        X, y = self._data()
+        X, y = small_noise()
         Xb, yb = X.copy(), y.copy()
         Xb[3, 2] = bad
         yb[0] = bad
@@ -366,7 +367,7 @@ class TestForestBoundaryChecks:
             self._forest().fit(X, yb)
 
     def test_fit_rejects_empty_and_mismatched(self):
-        X, y = self._data()
+        X, y = small_noise()
         with pytest.raises(ValueError, match="^X has 0 samples$"):
             self._forest().fit(np.empty((0, 10)), np.empty(0))
         with pytest.raises(
@@ -375,7 +376,7 @@ class TestForestBoundaryChecks:
             self._forest().fit(X, y[:-1])
 
     def test_failed_fit_leaves_forest_unfitted(self):
-        X, y = self._data()
+        X, y = small_noise()
         forest = self._forest().set_params(max_features=11)
         with pytest.raises(ValueError, match="max_features must be in"):
             forest.fit(X, y)
@@ -383,7 +384,7 @@ class TestForestBoundaryChecks:
             forest.predict(X)
 
     def test_predict_rejects_unfitted(self):
-        X, _ = self._data()
+        X, _ = small_noise()
         with pytest.raises(
             NotFittedError,
             match=r"^RandomForestRegressor is not fitted yet; "
@@ -392,7 +393,7 @@ class TestForestBoundaryChecks:
             self._forest().predict(X)
 
     def test_predict_rejects_bad_input(self):
-        X, y = self._data()
+        X, y = small_noise()
         forest = self._forest().fit(X, y)
         for bad in (np.nan, np.inf):
             Xb = X.copy()
@@ -414,13 +415,8 @@ class TestTreeRandomState:
     the values below were captured before ``fit`` was split into
     validation + ``_grow`` and the RNG made lazy."""
 
-    @staticmethod
-    def _data():
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(40, 10)), rng.normal(size=40)
-
     def test_generator_unconsumed_when_every_feature_is_a_candidate(self):
-        X, y = self._data()
+        X, y = small_noise()
         for max_features in (None, 1.0, 10):
             gen = np.random.default_rng(5)
             before = gen.bit_generator.state
@@ -439,7 +435,7 @@ class TestTreeRandomState:
     def test_generator_advances_exactly_as_before(
         self, params, nodes, next_draw
     ):
-        X, y = self._data()
+        X, y = small_noise()
         gen = np.random.default_rng(5)
         tree = DecisionTreeRegressor(random_state=gen, **params).fit(X, y)
         assert tree.n_nodes_ == nodes
