@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.framework.controller import select_candidates
 from repro.framework.scheduler import FlowRequest
-from repro.hecate.objectives import assign_flows
+from repro.hecate.objectives import PathForecast, assign_flows, get_objective
 from repro.net.fluid import link_capacities
-from repro.net.qoe import FlowQoSSample, aggregate_qoe, predicted_mos
+from repro.net.qoe import FlowQoSSample, aggregate_qoe
 from repro.scenarios.hybrid import EpochSolve, quantize_edges, solve_epochs
 from repro.scenarios.result import ScenarioResult
 
@@ -61,21 +61,22 @@ def assign_fluid(
     capacities: Dict[Tuple[str, str], float],
 ) -> Tuple[Dict[str, Tuple[str, ...]], int, int]:
     """Assign flows to tunnels per (ingress, egress) group, honouring
-    the scenario objective: ``min_latency`` puts every flow on its
-    group's lowest-delay tunnel (what Hecate recommends in DES when
-    latency forecasts dominate); ``max_qoe`` scores each candidate
-    with the flow's own app model (rate estimate = tunnel bottleneck
-    shared across the group, latency = the path's propagation delay)
-    and places every flow on its best-MOS tunnel; the
-    bandwidth-flavoured objectives solve the joint throughput
-    assignment.
+    the scenario objective as the registry declares it.  A *joint*
+    objective (:attr:`~repro.hecate.objectives.ObjectiveSpec.joint`)
+    solves the group's throughput assignment with ``assign_flows``.
+    Any other runs its chooser per flow — each app class may rank the
+    same candidates differently — on static forecasts in candidate
+    order: rate = the tunnel's bottleneck shared across the group,
+    latency = the path's propagation delay, utilization, jitter and
+    loss zero (the optimistic no-queue model ``fluid_qoe`` reports
+    with).  Unknown objectives raise the registry's ``KeyError``.
 
     Returns (flow -> router path, migrations off the default tunnel,
     unplaceable-flow count)."""
     assert context.network is not None
     network = context.network
     by_name = {name: path for name, _, path in context.tunnels}
-    objective = context.scenario.policy.objective
+    objective = get_objective(context.scenario.policy.objective)
     groups: Dict[Tuple[str, str], List[FlowRequest]] = {}
     for request in context.requests:
         pair = (
@@ -93,35 +94,20 @@ def assign_fluid(
         if not candidates:
             unplaced += len(members)
             continue
-        if objective == "min_latency":
-            best = min(
-                candidates,
-                key=lambda n: network.path_delay_ms(list(by_name[n])),
-            )
-            for request in members:
-                paths[request.flow_name] = by_name[best]
-            migrations += len(members) if best != candidates[0] else 0
-            continue
-        if objective == "max_qoe":
-            # per-flow independent choice: each app class ranks the
-            # same candidates differently (VoIP by delay, video/bulk
-            # by rate), which is the whole point of the objective
-            share = float(len(members))
-            for request in members:
-                best = max(
-                    candidates,
-                    key=lambda n: (
-                        predicted_mos(
-                            request.app_class,
-                            _bottleneck_mbps(by_name[n], capacities)
-                            / share,
-                            latency_ms=network.path_delay_ms(
-                                list(by_name[n])
-                            ),
-                        ),
-                        _bottleneck_mbps(by_name[n], capacities),
+        if not objective.joint:
+            share = len(members)
+            forecasts = [
+                PathForecast(
+                    name=name,
+                    available_mbps=np.array(
+                        [_bottleneck_mbps(by_name[name], capacities) / share]
                     ),
+                    latency_ms=network.path_delay_ms(list(by_name[name])),
                 )
+                for name in candidates
+            ]
+            for request in members:
+                best = objective.chooser(forecasts, request.app_class).name
                 paths[request.flow_name] = by_name[best]
                 migrations += 1 if best != candidates[0] else 0
             continue

@@ -284,6 +284,15 @@ def _parse_policy(text: str):
                 f"{', '.join(_objective_choices())} "
                 "(see 'repro objectives list')"
             )
+        if key == "model":
+            # same fail-fast for the model roster: a bad name would
+            # otherwise fail every des cell and be ignored on fluid
+            from repro.hecate.service import resolve_model
+
+            try:
+                resolve_model(raw)
+            except KeyError as exc:
+                raise _UserError(exc.args[0]) from exc
         value: object = raw
         if raw.lower() == "none":
             value = None

@@ -76,11 +76,12 @@ class SelfDrivingNetwork:
         When False the Controller places flows on the control plane only
         (ACL + PBR + record) without packet-level traffic apps — the
         mode the open-loop service driver runs in.
-    bus_log_limit / audit_limit / decision_log_limit:
-        Optional bounds on the bus audit log, the Scheduler's request
-        trail and the Controller's decision log.  Finite scenarios keep
-        the unbounded defaults; a long-lived service must bound all
-        three or its footprint grows with lifetime arrivals.
+    audit_window:
+        Optional bound on the three audit trails — the bus log, the
+        Scheduler's request trail and the Controller's decision log
+        each keep this many most-recent entries.  Finite scenarios keep
+        the unbounded default; a long-lived service must bound them or
+        its footprint grows with lifetime arrivals.
     """
 
     def __init__(
@@ -91,12 +92,10 @@ class SelfDrivingNetwork:
         reoptimize_every: Optional[float] = None,
         reopt_threshold_mbps: float = 1.0,
         launch_apps: bool = True,
-        bus_log_limit: Optional[int] = None,
-        audit_limit: Optional[int] = None,
-        decision_log_limit: Optional[int] = None,
+        audit_window: Optional[int] = None,
     ):
         self.network = network
-        self.bus = MessageBus(log_limit=bus_log_limit)
+        self.bus = MessageBus(log_limit=audit_window)
         self.router_config = RouterConfigService(network, self.bus)
         self.telemetry = TelemetryService(
             network, self.bus, interval=telemetry_interval
@@ -104,7 +103,7 @@ class SelfDrivingNetwork:
         self.hecate = HecateService(
             self.telemetry.db, bus=self.bus, model_factory=model_factory
         )
-        self.scheduler = Scheduler(self.bus, audit_limit=audit_limit)
+        self.scheduler = Scheduler(self.bus, audit_limit=audit_window)
         self.controller = Controller(
             network,
             self.bus,
@@ -112,7 +111,7 @@ class SelfDrivingNetwork:
             reoptimize_every=reoptimize_every,
             reopt_threshold_mbps=reopt_threshold_mbps,
             launch_apps=launch_apps,
-            decision_log_limit=decision_log_limit,
+            decision_log_limit=audit_window,
         )
         self.dashboard = Dashboard(self.bus, self.telemetry.db, self.controller)
         self.telemetry.start()

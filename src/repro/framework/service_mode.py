@@ -57,8 +57,9 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hecate.service import resolve_model
 from repro.net.telemetry import TimeSeriesDB
-from repro.scenarios.runner import MODEL_FACTORIES, derive_tunnels_for_pairs
+from repro.scenarios.runner import derive_tunnels_for_pairs
 from repro.scenarios.spec import ChurnSpec, ServiceWorkload
 from repro.scenarios.traffic import host_pairs
 
@@ -453,23 +454,14 @@ class ServiceDriver:
         policy = self.workload.policy
 
         network = self.workload.topology.build()
-        try:
-            model_factory = MODEL_FACTORIES[policy.model]
-        except KeyError:
-            raise ValueError(
-                f"unknown model {policy.model!r}; "
-                f"choose from {sorted(MODEL_FACTORIES)}"
-            ) from None
         self.sdn = SelfDrivingNetwork(
             network,
-            model_factory=model_factory,
+            model_factory=resolve_model(policy.model),
             telemetry_interval=policy.telemetry_interval,
             reoptimize_every=policy.reoptimize_every,
             reopt_threshold_mbps=policy.reopt_threshold_mbps,
             launch_apps=churn.launch_apps,
-            bus_log_limit=_AUDIT_WINDOW,
-            audit_limit=_AUDIT_WINDOW,
-            decision_log_limit=_AUDIT_WINDOW,
+            audit_window=_AUDIT_WINDOW,
         )
         self.pairs = host_pairs(network)[: churn.n_pairs]
         router_pairs: List[Tuple[str, str]] = []

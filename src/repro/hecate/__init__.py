@@ -29,6 +29,7 @@ from .service import (
     ASK_PATH_TOPIC,
     HecateService,
     default_model_factory,
+    resolve_model,
 )
 from .tournament import (
     PAPER_FIG6_RMSE,
@@ -44,7 +45,7 @@ __all__ = [
     "choose_max_bandwidth", "choose_min_latency", "choose_min_max_utilization",
     "FlowSplit", "solve_min_cost", "solve_min_max_utilization", "solve_min_delay",
     "HecateService", "ASK_PATH_TOPIC", "ASK_PATH_BATCH_TOPIC",
-    "default_model_factory",
+    "default_model_factory", "resolve_model",
     "assign_flows", "AssignmentResult",
     "SimpleExpSmoothing", "HoltLinear", "HoltWinters", "TimeSeriesQoSPredictor",
     "QLearningPathSelector", "TunnelEnv",

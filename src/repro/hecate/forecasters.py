@@ -167,10 +167,10 @@ class TimeSeriesQoSPredictor:
 
     def __init__(self, forecaster_factory=HoltLinear):
         self.forecaster_factory = forecaster_factory
-        self._template_ok = hasattr(forecaster_factory(), "fit")
 
     def fit(self, series) -> "TimeSeriesQoSPredictor":
-        self._history = np.asarray(series, dtype=np.float64).ravel()
+        """No-op, kept for the ``QoSPredictor`` surface: :meth:`forecast`
+        re-fits on the history it is handed."""
         return self
 
     def predict_next(self, history) -> float:

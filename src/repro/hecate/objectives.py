@@ -142,13 +142,17 @@ def choose_max_qoe(
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """One registered objective: the name the CLI/PolicySpec use, a
-    one-line description for help text, the chooser, and whether the
-    chooser reads the flow's app class."""
+    one-line description for help text, the chooser, whether the
+    chooser reads the flow's app class, and whether backends without
+    per-path telemetry solve it *jointly* — one :func:`assign_flows`
+    throughput assignment per flow group — instead of calling the
+    chooser per flow on static forecasts (see docs/QOE.md)."""
 
     name: str
     description: str
     chooser: Chooser
     app_aware: bool = False
+    joint: bool = False
 
 
 _REGISTRY: Dict[str, ObjectiveSpec] = {}
@@ -188,6 +192,7 @@ register_objective(
             "most predicted available bandwidth (the paper's default)"
         ),
         chooser=choose_max_bandwidth,
+        joint=True,
     )
 )
 register_objective(
@@ -202,6 +207,7 @@ register_objective(
         name="min_max_utilization",
         description="lowest forecast bottleneck utilization (Sec. III)",
         chooser=choose_min_max_utilization,
+        joint=True,
     )
 )
 register_objective(

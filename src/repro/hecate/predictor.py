@@ -92,15 +92,7 @@ class QoSPredictor:
 
     def predict_next(self, history) -> float:
         """One-step-ahead prediction from the most recent ``n_lags`` values."""
-        self._check_fitted()
-        history = np.asarray(history, dtype=np.float64).ravel()
-        if history.size < self.n_lags:
-            raise ValueError(
-                f"need {self.n_lags} history samples, got {history.size}"
-            )
-        window = self._to_scaled(history[-self.n_lags:])
-        pred = self.fitted_model_.predict(window.reshape(1, -1))
-        return float(self._from_scaled(pred)[0])
+        return float(self.forecast(history, steps=1)[0])
 
     def forecast(self, history, steps: int = PAPER_HORIZON) -> np.ndarray:
         """Recursive multi-step forecast (each prediction feeds the window)."""
@@ -144,24 +136,12 @@ def evaluate_pipeline(
         raise ValueError("series too short for the requested split")
     train, test = series[:n_train], series[n_train:]
 
-    if scale:
-        scaler = StandardScaler().fit(train.reshape(-1, 1))
-        train_s = scaler.transform(train.reshape(-1, 1)).ravel()
-        test_s = scaler.transform(test.reshape(-1, 1)).ravel()
-    else:
-        scaler = None
-        train_s, test_s = train, test
-
-    X_train, y_train = make_lag_matrix(train_s, n_lags, horizon=1)
-    X_test, y_test = make_lag_matrix(test_s, n_lags, horizon=1)
-    fitted = clone(model)
-    fitted.fit(X_train, y_train)
-    pred_s = fitted.predict(X_test)
-    if scaler is not None:
-        pred = scaler.inverse_transform(pred_s.reshape(-1, 1)).ravel()
-        observed = scaler.inverse_transform(y_test.reshape(-1, 1)).ravel()
-    else:
-        pred, observed = pred_s, y_test
+    predictor = QoSPredictor(model, n_lags=n_lags, scale=scale).fit(train)
+    X_test, y_test = make_lag_matrix(
+        predictor._to_scaled(test), n_lags, horizon=1
+    )
+    pred = predictor._from_scaled(predictor.fitted_model_.predict(X_test))
+    observed = predictor._from_scaled(y_test)
     return EvaluationResult(
         rmse=root_mean_squared_error(observed, pred),
         predictions=pred,

@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bus import Message, MessageBus
-from repro.ml import RandomForestRegressor
+from repro.ml import LinearRegression, RandomForestRegressor
+from repro.ml.registry import regressor_names, regressor_spec
 from repro.net.telemetry import TimeSeriesDB
 
 from .objectives import PathForecast, get_objective, objective_names
@@ -28,6 +29,7 @@ __all__ = [
     "ASK_PATH_BATCH_TOPIC",
     "EVICT_PATH_TOPIC",
     "default_model_factory",
+    "resolve_model",
 ]
 
 ASK_PATH_TOPIC = "hecate.ask_path"
@@ -39,6 +41,29 @@ def default_model_factory():
     """The paper integrates RFR; 30 trees keep control-loop latency low
     while preserving forest behaviour (the full default is 100)."""
     return RandomForestRegressor(n_estimators=30, random_state=42)
+
+
+#: the control-loop aliases ``PolicySpec.model`` had before it reached
+#: the roster; ``rfr`` is *not* ``RFR``/``R13`` (30 trees against 100)
+_LOOP_MODELS: Dict[str, Callable[[], object]] = {
+    "linear": LinearRegression,
+    "rfr": default_model_factory,
+}
+
+
+def resolve_model(name: str) -> Callable[[], object]:
+    """``PolicySpec.model`` -> regressor factory: a control-loop alias
+    (``linear``, ``rfr``), else an entrant of :mod:`repro.ml.registry`
+    by paper id (``R1``..``R18``, ``X1``) or label (``GBR``)."""
+    if name in _LOOP_MODELS:
+        return _LOOP_MODELS[name]
+    try:
+        return regressor_spec(name).factory
+    except KeyError:
+        raise KeyError(
+            f"unknown model {name!r}; choose from "
+            f"{', '.join([*_LOOP_MODELS, *regressor_names()])}"
+        ) from None
 
 
 @dataclass
@@ -100,6 +125,12 @@ class HecateService:
             bus.subscribe(ASK_PATH_BATCH_TOPIC, self._on_ask_batch)
             bus.subscribe(EVICT_PATH_TOPIC, self._on_evict)
 
+    @property
+    def train_floor(self) -> int:
+        """Samples a path needs before its regressor is fitted; below
+        it the forecast repeats the latest observation."""
+        return max(self.MIN_TRAIN_SAMPLES, self.n_lags + 2)
+
     # ------------------------------------------------------------ lifecycle
 
     def evict_path(self, path: str) -> int:
@@ -143,7 +174,7 @@ class HecateService:
             self.forecast_cache_hits += 1
             return cached[1]
         history = self._history(path, "available_mbps")
-        if history.size >= max(self.MIN_TRAIN_SAMPLES, self.n_lags + 2):
+        if history.size >= self.train_floor:
             predictor = QoSPredictor(self.model_factory(), n_lags=self.n_lags)
             predictor.fit(history)
             self.fits += 1
@@ -174,33 +205,6 @@ class HecateService:
             paths, objective, horizon, memo={}, app_class=app_class
         )
 
-    def recommend_batch(
-        self,
-        groups: Sequence[Dict],
-        horizon: int = 10,
-    ) -> List[Recommendation]:
-        """One recommendation per group, forecasting each path once.
-
-        ``groups`` is a sequence of ``{"paths": [...], "objective": ...}``
-        dicts (one per flow group the Controller re-optimizes).  A path
-        appearing in several groups is fitted and forecast a single time
-        — that, plus the single bus round-trip, is what makes the
-        incremental re-optimization tick cheap on many-group scenarios.
-        """
-        if not groups:
-            raise ValueError("no groups to recommend for")
-        memo: Dict[str, PathForecast] = {}
-        return [
-            self._recommend(
-                group["paths"],
-                group.get("objective", "max_bandwidth"),
-                horizon,
-                memo,
-                app_class=group.get("app_class", "generic"),
-            )
-            for group in groups
-        ]
-
     def _recommend(
         self,
         paths: Sequence[str],
@@ -224,8 +228,9 @@ class HecateService:
                 memo[path] = self.forecast_path(path, horizon=horizon)
             forecasts.append(memo[path])
         chosen = chooser(forecasts, app_class)
-        trained = self.db.count(f"path:{chosen.name}:available_mbps") >= max(
-            self.MIN_TRAIN_SAMPLES, self.n_lags + 2
+        trained = (
+            self.db.count(f"path:{chosen.name}:available_mbps")
+            >= self.train_floor
         )
         self.asked += 1
         return Recommendation(

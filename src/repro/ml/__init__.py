@@ -7,7 +7,7 @@ ML layer is reimplemented on numpy/scipy behind the familiar
 windowing and the RMSE-family metrics.
 
 Use :func:`repro.ml.registry.make_regressor` / ``roster()`` to obtain the
-paper's entrants by their R1..R18 identifiers.
+paper's entrants by their R1..R18 identifiers (or labels, e.g. ``"RFR"``).
 """
 
 from .base import BaseEstimator, NotFittedError, RegressorMixin, clone
@@ -59,10 +59,10 @@ from .neural import MLPRegressor
 from .pipeline import Pipeline, make_pipeline
 from .preprocessing import MinMaxScaler, StandardScaler
 from .registry import (
-    EXTENSION_SPECS,
     REGRESSOR_SPECS,
     RegressorSpec,
     make_regressor,
+    regressor_spec,
     roster,
 )
 from .svm import SVR, LinearSVR
@@ -91,7 +91,7 @@ __all__ = [
     "train_test_split", "make_lag_matrix", "KFold", "TimeSeriesSplit",
     "cross_val_score", "StandardScaler", "MinMaxScaler",
     # registry
-    "REGRESSOR_SPECS", "EXTENSION_SPECS", "RegressorSpec", "make_regressor",
+    "REGRESSOR_SPECS", "RegressorSpec", "regressor_spec", "make_regressor",
     "roster",
     # extensions
     "MLPRegressor", "Pipeline", "make_pipeline",

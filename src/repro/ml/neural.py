@@ -5,7 +5,7 @@ such as neural networks"; this module provides that extension: a from-
 scratch multi-layer perceptron with ReLU/tanh activations, Adam updates,
 mini-batching and early stopping — sklearn-MLPRegressor-like defaults so
 it can slot straight into the Hecate pipeline (registered as extension
-entrant ``"X1"`` in :data:`repro.ml.registry.EXTENSION_SPECS`).
+entrant ``"X1"`` in :data:`repro.ml.registry.REGRESSOR_SPECS`).
 """
 
 from __future__ import annotations

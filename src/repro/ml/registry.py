@@ -1,10 +1,13 @@
-"""The paper's eighteen-regressor roster (Sec. V.A.2), R1..R18.
+"""The paper's eighteen-regressor roster (Sec. V.A.2), R1..R18, plus
+the post-paper extension entrant X1.
 
-``REGRESSOR_SPECS`` maps each paper identifier to a factory that builds
-the model with the paper's configuration ("executed with the default
-hyperparameters").  The tournament (Fig. 6), the Hecate predictor and the
-benchmarks all instantiate models through this registry so the roster is
-defined in exactly one place.
+``REGRESSOR_SPECS`` maps each identifier to a factory that builds the
+model with the paper's configuration ("executed with the default
+hyperparameters").  The tournament (Fig. 6), ``PolicySpec.model`` (via
+:func:`repro.hecate.service.resolve_model`) and the benchmarks all
+instantiate models through this registry so the roster is defined in
+exactly one place; :func:`regressor_spec` looks an entrant up by paper
+id or by label.
 """
 
 from __future__ import annotations
@@ -31,10 +34,14 @@ from .linear_model import (
     SGDRegressor,
     TheilSenRegressor,
 )
+from .neural import MLPRegressor
 from .svm import SVR, LinearSVR
 from .tree import DecisionTreeRegressor
 
-__all__ = ["RegressorSpec", "REGRESSOR_SPECS", "make_regressor", "roster"]
+__all__ = [
+    "RegressorSpec", "REGRESSOR_SPECS", "regressor_names", "regressor_spec",
+    "make_regressor", "roster",
+]
 
 _SEED = 42  # pinned so stochastic entrants are reproducible across runs
 
@@ -105,36 +112,35 @@ REGRESSOR_SPECS: Dict[str, RegressorSpec] = {
             "R18", "TheilSenR", "Theil-Sen Regressor",
             lambda: TheilSenRegressor(random_state=_SEED), stochastic=True,
         ),
+        # post-paper extension (Sec. VII future work): in the table, so
+        # every by-name lookup finds it, but not in the Fig. 6 roster()
+        RegressorSpec(
+            "X1", "MLP",
+            "Multi-Layer Perceptron (future work: neural networks)",
+            lambda: MLPRegressor(random_state=_SEED), stochastic=True,
+        ),
     ]
 }
 
+def regressor_names() -> List[str]:
+    """``"R13 (RFR)"`` for every entrant, as error messages list them."""
+    return [f"{s.paper_id} ({s.label})" for s in REGRESSOR_SPECS.values()]
 
-#: Post-paper extension entrants (Sec. VII future work); not part of the
-#: Fig. 6 roster but runnable through the same pipeline/tournament.
-EXTENSION_SPECS: Dict[str, RegressorSpec] = {}
 
-
-def _register_extensions() -> None:
-    from .neural import MLPRegressor
-
-    EXTENSION_SPECS["X1"] = RegressorSpec(
-        "X1", "MLP", "Multi-Layer Perceptron (future work: neural networks)",
-        lambda: MLPRegressor(random_state=_SEED), stochastic=True,
+def regressor_spec(name: str) -> RegressorSpec:
+    """Entrant by paper id (``"R13"``, ``"X1"``) or label (``"RFR"``)."""
+    for spec in REGRESSOR_SPECS.values():
+        if name in (spec.paper_id, spec.label):
+            return spec
+    raise KeyError(
+        f"unknown regressor {name!r}; valid ids (labels): "
+        f"{', '.join(regressor_names())}"
     )
 
 
-_register_extensions()
-
-
-def make_regressor(paper_id: str):
-    """Instantiate entrant ``paper_id`` (``"R1".."R18"`` or extension ``"X1"``)."""
-    spec = REGRESSOR_SPECS.get(paper_id) or EXTENSION_SPECS.get(paper_id)
-    if spec is None:
-        raise KeyError(
-            f"unknown regressor id {paper_id!r}; valid ids: "
-            f"{sorted(REGRESSOR_SPECS) + sorted(EXTENSION_SPECS)}"
-        )
-    return spec.factory()
+def make_regressor(name: str):
+    """Instantiate one entrant; ``name`` as for :func:`regressor_spec`."""
+    return regressor_spec(name).factory()
 
 
 def roster() -> List[RegressorSpec]:

@@ -40,7 +40,6 @@ from .registry import (
     register_workload,
 )
 from .runner import (
-    MODEL_FACTORIES,
     ScenarioResult,
     ScenarioRunner,
     derive_tunnels,
@@ -86,7 +85,6 @@ __all__ = [
     "get_workload",
     "list_workloads",
     "SERVICE_WORKLOADS",
-    "MODEL_FACTORIES",
     "TRAFFIC_PATTERNS",
     "generate_traffic",
     "host_pairs",

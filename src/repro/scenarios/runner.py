@@ -65,8 +65,7 @@ import numpy as np
 from repro.backends.base import ExecutionBackend, get_backend
 from repro.framework import SelfDrivingNetwork
 from repro.framework.scheduler import FlowRequest
-from repro.hecate.service import default_model_factory
-from repro.ml import LinearRegression
+from repro.hecate.service import resolve_model
 from repro.net.topology import Network
 
 from .dynamic import compile_phases
@@ -79,16 +78,9 @@ from .traffic import generate_traffic
 __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
-    "MODEL_FACTORIES",
     "derive_tunnels",
     "derive_tunnels_for_pairs",
 ]
-
-#: PolicySpec.model -> regressor factory for Hecate's predictor.
-MODEL_FACTORIES = {
-    "linear": LinearRegression,
-    "rfr": default_model_factory,
-}
 
 
 def derive_tunnels(
@@ -230,16 +222,9 @@ class ScenarioRunner:
                 self.requests, scenario.classes
             )
         if self._caps.packet_level:
-            try:
-                model_factory = MODEL_FACTORIES[scenario.policy.model]
-            except KeyError:
-                raise KeyError(
-                    f"unknown model {scenario.policy.model!r}; "
-                    f"choose from {sorted(MODEL_FACTORIES)}"
-                ) from None
             self.sdn = SelfDrivingNetwork(
                 self.network,
-                model_factory=model_factory,
+                model_factory=resolve_model(scenario.policy.model),
                 telemetry_interval=scenario.policy.telemetry_interval,
                 reoptimize_every=scenario.policy.reoptimize_every,
                 reopt_threshold_mbps=scenario.policy.reopt_threshold_mbps,

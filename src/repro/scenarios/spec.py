@@ -169,9 +169,15 @@ class PolicySpec:
         ``max_bandwidth`` / ``min_latency`` / ``min_max_utilization`` /
         ``max_qoe``, see :mod:`repro.hecate.objectives`).
     model:
-        Regressor behind Hecate's forecaster: ``"linear"`` (fast,
-        deterministic — the default for scenario sweeps) or ``"rfr"``
-        (the paper's Random Forest).
+        Regressor behind Hecate's forecaster, resolved by
+        :func:`repro.hecate.service.resolve_model`: ``"linear"`` (fast,
+        deterministic — the default for scenario sweeps), ``"rfr"``
+        (the paper's Random Forest at control-loop size, 30 trees), or
+        any entrant of :mod:`repro.ml.registry` by paper id
+        (``"R1"``..``"R18"``, ``"X1"``) or label (``"GBR"``).  Names
+        are case-sensitive: ``"RFR"``/``"R13"`` is the paper-default
+        100-tree forest, not ``"rfr"``.  Only packet-level backends
+        read it.
     reoptimize_every:
         If set, the Controller re-runs the joint flow->tunnel assignment
         this often and migrates flows (the self-driving loop).

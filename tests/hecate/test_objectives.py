@@ -1,5 +1,7 @@
 """The pluggable objective registry and the app-aware chooser."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from repro.hecate.objectives import (
     objective_names,
     register_objective,
 )
+from repro.scenarios import ScenarioRunner, get_scenario
 
 BUILTINS = (
     "max_bandwidth", "max_qoe", "min_latency", "min_max_utilization",
 )
+NON_PACKET_BACKENDS = ("fluid", "emulation-mock")
 
 
 def _forecast(name, mbps, latency_ms=0.0, jitter_ms=0.0, loss_rate=0.0):
@@ -45,6 +49,10 @@ class TestRegistry:
     def test_only_max_qoe_is_app_aware(self):
         aware = [s.name for s in list_objectives() if s.app_aware]
         assert aware == ["max_qoe"]
+
+    def test_only_the_throughput_objectives_are_solved_jointly(self):
+        joint = [s.name for s in list_objectives() if s.joint]
+        assert joint == ["max_bandwidth", "min_max_utilization"]
 
     def test_duplicate_registration_is_an_error(self):
         spec = get_objective("max_bandwidth")
@@ -110,3 +118,58 @@ class TestPathForecastFields:
         assert forecast.jitter_ms == 0.0
         assert forecast.loss_rate == 0.0
         assert forecast.mean_available == 1.0
+
+
+def _fig11(objective, backend):
+    scenario = get_scenario("fig11-latency-migration").quick(6.0, 2.0)
+    scenario = scenario.with_overrides(
+        policy=dataclasses.replace(scenario.policy, objective=objective)
+    )
+    return ScenarioRunner(scenario, backend=backend).run()
+
+
+@pytest.mark.parametrize("backend", NON_PACKET_BACKENDS)
+class TestObjectivesOffThePacketLevel:
+    """The fluid and emulation-mock backends resolve the policy
+    objective through the registry, as the packet level does."""
+
+    def test_plugin_objective_is_honoured(self, backend):
+        """docs/QOE.md's ``min_loss`` plugin on Fig. 11's two tunnels
+        (T1 far, the default; T2 near).  Off the packet level every
+        candidate's loss is 0, so its latency tie-break decides: T2,
+        where the joint max-bandwidth assignment stays on T1."""
+        seen = []
+
+        def min_loss(forecasts, app_class="generic"):
+            seen.append(forecasts)
+            return min(forecasts, key=lambda f: (f.loss_rate, f.latency_ms))
+
+        register_objective(ObjectiveSpec(
+            name="min_loss",
+            description="lowest forecast loss rate",
+            chooser=min_loss,
+        ))
+        try:
+            plugin = _fig11("min_loss", backend)
+        finally:
+            del _REGISTRY["min_loss"]
+        near = _fig11("min_latency", backend)
+        far = _fig11("max_bandwidth", backend)
+        assert plugin.mean_latency_ms == near.mean_latency_ms
+        assert plugin.mean_latency_ms < far.mean_latency_ms
+        # the static-forecast contract: candidate order, one-sample
+        # rate, propagation delay, everything else zero
+        (forecasts,) = seen
+        assert [f.name for f in forecasts] == ["T1", "T2"]
+        assert [f.latency_ms for f in forecasts] == [22.0, 2.0]
+        for forecast in forecasts:
+            assert forecast.available_mbps.shape == (1,)
+            assert forecast.mean_available > 0.0
+            assert forecast.bottleneck_utilization == 0.0
+            assert forecast.jitter_ms == forecast.loss_rate == 0.0
+
+    def test_unknown_objective_raises_naming_the_registry(self, backend):
+        with pytest.raises(KeyError, match="unknown objective") as excinfo:
+            _fig11("no_such_objective", backend)
+        for name in BUILTINS:
+            assert name in str(excinfo.value)

@@ -199,31 +199,44 @@ class TestHecateService:
         assert (forecast.available_mbps >= 0.0).all()
 
 
+def ask_batch(service_bus, groups):
+    """One ``hecate.ask_path_batch`` round-trip; the per-group entries."""
+    replies = service_bus.request(ASK_PATH_BATCH_TOPIC, groups=groups)
+    assert len(replies) == 1 and replies[0]["ok"]
+    return replies[0]["recommendations"]
+
+
 class TestHecateBatchRecommendations:
     def test_one_recommendation_per_group(self):
-        service = HecateService(seeded_db(), model_factory=LinearRegression)
-        recs = service.recommend_batch([
+        bus = MessageBus()
+        HecateService(seeded_db(), bus=bus, model_factory=LinearRegression)
+        recs = ask_batch(bus, [
             {"paths": ["T1", "T2"], "objective": "max_bandwidth"},
             {"paths": ["T1", "T2"], "objective": "min_latency"},
         ])
-        assert [r.path for r in recs] == ["T2", "T2"]
-        assert [r.objective for r in recs] == ["max_bandwidth", "min_latency"]
+        assert [r["path"] for r in recs] == ["T2", "T2"]
+        assert [r["objective"] for r in recs] == [
+            "max_bandwidth", "min_latency",
+        ]
 
     def test_batch_matches_individual_recommendations(self):
-        batched = HecateService(seeded_db(), model_factory=LinearRegression)
+        bus = MessageBus()
+        HecateService(seeded_db(), bus=bus, model_factory=LinearRegression)
         single = HecateService(seeded_db(), model_factory=LinearRegression)
         groups = [{"paths": ["T1", "T2"]}, {"paths": ["T2"]}]
-        recs = batched.recommend_batch(groups)
-        for group, rec in zip(groups, recs):
+        for group, rec in zip(groups, ask_batch(bus, groups)):
             alone = single.recommend(group["paths"])
-            assert rec.path == alone.path
-            assert rec.forecasts == alone.forecasts
+            assert rec["path"] == alone.path
+            assert rec["forecasts"] == alone.forecasts
 
     def test_shared_paths_forecast_once(self):
         """The point of batching: a tunnel shared by N groups is fitted
         once, not N times."""
         calls = []
-        service = HecateService(seeded_db(), model_factory=LinearRegression)
+        bus = MessageBus()
+        service = HecateService(
+            seeded_db(), bus=bus, model_factory=LinearRegression
+        )
         original = service.forecast_path
 
         def counting(path, horizon=10):
@@ -231,17 +244,12 @@ class TestHecateBatchRecommendations:
             return original(path, horizon=horizon)
 
         service.forecast_path = counting
-        service.recommend_batch([
+        ask_batch(bus, [
             {"paths": ["T1", "T2"]},
             {"paths": ["T1", "T2"]},
             {"paths": ["T2"]},
         ])
         assert sorted(calls) == ["T1", "T2"]
-
-    def test_empty_batch_rejected(self):
-        service = HecateService(seeded_db(), model_factory=LinearRegression)
-        with pytest.raises(ValueError):
-            service.recommend_batch([])
 
     def test_bus_batch_interface(self):
         bus = MessageBus()

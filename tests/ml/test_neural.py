@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import MLPRegressor, NotFittedError, make_regressor, root_mean_squared_error
-from repro.ml.registry import EXTENSION_SPECS
+from repro.ml.registry import REGRESSOR_SPECS, roster
 
 
 def sine_data(n=300, seed=0, noise=0.05):
@@ -80,9 +80,10 @@ class TestMLP:
             MLPRegressor(max_iter=0)
 
     def test_registered_as_extension_x1(self):
-        assert "X1" in EXTENSION_SPECS
-        model = make_regressor("X1")
-        assert isinstance(model, MLPRegressor)
+        assert "X1" in REGRESSOR_SPECS
+        assert "X1" not in [spec.paper_id for spec in roster()]  # Fig. 6
+        assert isinstance(make_regressor("X1"), MLPRegressor)
+        assert isinstance(make_regressor("MLP"), MLPRegressor)
 
     def test_runs_through_hecate_pipeline(self):
         from repro.datasets import generate_uq_wireless

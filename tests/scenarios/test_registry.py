@@ -175,3 +175,48 @@ class TestPolicySpec:
         )
         with pytest.raises(KeyError, match="unknown model"):
             ScenarioRunner(scenario, backend="des").setup()
+
+    def test_service_driver_raises_the_same_error(self):
+        import dataclasses
+
+        from repro.framework.service_mode import ServiceDriver
+        from repro.scenarios import get_workload
+
+        base = get_workload("ring-steady")
+        workload = base.with_overrides(
+            policy=dataclasses.replace(base.policy, model="oracle")
+        )
+        with pytest.raises(KeyError, match="unknown model 'oracle'.*R13"):
+            ServiceDriver(workload)
+
+    @pytest.mark.parametrize("model", ["R11", "GBR", "X1"])
+    def test_roster_model_is_fitted_in_the_loop(self, model):
+        """Paper id, label and extension id all reach Hecate: past the
+        30-sample training floor the named regressor really is fitted."""
+        from repro.ml import make_regressor
+
+        scenario = (
+            get_scenario("line-baseline")
+            .quick(horizon=4.0, warmup=32.0)
+            .with_overrides(policy=PolicySpec(model=model))
+        )
+        runner = ScenarioRunner(scenario, backend="des")
+        result = runner.run()
+        assert result.placed == result.offered > 0
+        assert runner.sdn.hecate.fits > 0
+        assert isinstance(
+            runner.sdn.hecate.model_factory(), type(make_regressor(model))
+        )
+
+    def test_rfr_alias_is_not_the_roster_rfr(self):
+        """``rfr`` is the control-loop forest (30 trees, what the RFR
+        pin and the perf ledger run); ``RFR``/``R13`` is the paper
+        default (100)."""
+        from repro.hecate.service import default_model_factory, resolve_model
+        from repro.ml import LinearRegression
+
+        assert resolve_model("rfr") is default_model_factory
+        assert resolve_model("rfr")().n_estimators == 30
+        assert resolve_model("RFR") is resolve_model("R13")
+        assert resolve_model("R13")().n_estimators == 100
+        assert resolve_model("linear") is LinearRegression

@@ -451,6 +451,16 @@ class TestObjectivesCli:
             assert spec.name in out
             assert spec.description in out
         assert "app-aware" in out
+        # the table is name / app-aware / description and nothing else:
+        # ObjectiveSpec.joint is a registrant's declaration to the
+        # non-packet backends, not a column
+        lines = out.splitlines()
+        assert lines[0] == "name                 app-aware description"
+        assert lines[2] == (
+            "max_bandwidth        -         most predicted available "
+            "bandwidth (the paper's default)"
+        )
+        assert len(lines) == 2 + len(list_objectives())
 
     def test_objective_choices_come_from_the_registry(self, capsys):
         """A name argparse accepts must be a registered objective, and
@@ -497,6 +507,27 @@ class TestObjectivesCli:
         ]) == 2
         err = capsys.readouterr().err
         assert "repro objectives list" in err and "max_qoe" in err
+
+    def test_policy_rejects_unknown_model_before_any_run(self, capsys):
+        # same fail-fast as objective=: the fluid backend never reads
+        # the model, so without the parse-time check this sweep would
+        # run and report numbers for a model that does not exist
+        assert main([
+            "scenarios", "sweep", "line-baseline", "--backend", "fluid",
+            "--policy", "model=bogus", "--no-cache",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unknown model 'bogus'" in err
+        for name in ("linear", "rfr", "R13 (RFR)", "X1 (MLP)"):
+            assert name in err
+
+    def test_policy_accepts_roster_ids_and_labels(self):
+        from repro.cli import _parse_policy
+
+        assert _parse_policy("model=GBR") == {"model": "GBR"}
+        assert _parse_policy("model=R6,k_paths=2") == {
+            "model": "R6", "k_paths": 2,
+        }
 
     def test_policy_rejects_unknown_objective_before_any_run(self, capsys):
         # must fail fast at parse time (like --objective's choices=),
