@@ -43,8 +43,8 @@ def default_model_factory():
     return RandomForestRegressor(n_estimators=30, random_state=42)
 
 
-#: the control-loop aliases ``PolicySpec.model`` had before it reached
-#: the roster; ``rfr`` is *not* ``RFR``/``R13`` (30 trees against 100)
+#: control-loop aliases beside the roster; ``rfr`` (30 trees, what the
+#: RFR pin and the perf ledger run) is *not* ``RFR``/``R13`` (100)
 _LOOP_MODELS: Dict[str, Callable[[], object]] = {
     "linear": LinearRegression,
     "rfr": default_model_factory,

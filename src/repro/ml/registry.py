@@ -122,6 +122,7 @@ REGRESSOR_SPECS: Dict[str, RegressorSpec] = {
     ]
 }
 
+
 def regressor_names() -> List[str]:
     """``"R13 (RFR)"`` for every entrant, as error messages list them."""
     return [f"{s.paper_id} ({s.label})" for s in REGRESSOR_SPECS.values()]
