@@ -7,6 +7,7 @@ import pytest
 from repro.framework.scheduler import FlowRequest
 from repro.framework.service_mode import ServiceDriver, _AUDIT_WINDOW
 from repro.scenarios import ChurnSpec, PolicySpec, ServiceWorkload, TopologySpec
+from repro.scenarios.registry import get_workload
 
 RING = TopologySpec(
     "ring",
@@ -180,3 +181,25 @@ class TestFlowRemoval:
                 len(policy.entries),
             )
         assert "unwind" not in sdn.controller.flows
+
+
+class TestDeferredAtTheHorizon:
+    def test_request_deferred_in_the_last_batch_tick_stays_pending(self):
+        """The perf ledger's ``service_churn`` input at ``--seed 6``
+        (program seed 602): one of 1 490 offered flows is deferred by
+        admission in the last batch tick and the run ends before the
+        defer queue is served again.  That is a ledger state — the
+        request is accounted for, nothing was refused or failed — so
+        the ledger's ``failed`` reads 1 there on every commit; see
+        docs/PERFORMANCE.md, "Reading failed ÷ attempted"."""
+        result = ServiceDriver(
+            get_workload("fat-tree-churn"),
+            rate=500,
+            duration=3.0,
+            warmup=0.0,
+            seed=602,
+        ).run()
+        assert result.offered == 1490
+        assert result.deferred_pending == 1
+        assert result.rejected == result.place_failed == 0
+        assert result.reconciles()
