@@ -59,11 +59,13 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb
 from pathlib import Path
 from typing import Dict, Mapping, Sequence, Tuple
 
 import pytest
 
+import repro.hecate.objectives
 from repro.hecate.objectives import AssignmentResult, assign_flows
 from repro.net.fluid import FluidFlow, max_min_fair, total_throughput
 
@@ -78,8 +80,8 @@ RANDOM_SEED = 23
 RANDOM_INSTANCES = 3000
 #: the tier-1 slice: every n-th sweep instance (the small sources are
 #: taken whole) and the first so-many random instances
-SLICE_SWEEP_STRIDE = 24
-SLICE_RANDOM = 100
+SLICE_SWEEP_STRIDE = 32
+SLICE_RANDOM = 80
 
 
 # ------------------------------------------------------------ reference
@@ -383,6 +385,71 @@ def test_slice_digest_is_hash_seed_independent(slice_outcomes):
     assert [child.returncode for child in children] == [0, 0]
     digest = digest_of(slice_outcomes[1])
     assert outputs == [digest, digest]
+
+
+def _shared_uplink_instance(n_flows, n_tunnels, max_enumerate=6):
+    """``n_tunnels`` two-hop detours of different widths behind one
+    shared 60 Mbps uplink; every flow starts on the narrowest."""
+    widths = (5.0, 10.0, 10.0, 20.0, 25.0, 40.0)[:n_tunnels]
+    capacities = {("in", "up"): 60.0}
+    tunnel_paths = {}
+    for i, width in enumerate(widths, start=1):
+        tunnel_paths[f"T{i}"] = ("in", "up", f"m{i}", "out")
+        capacities[("up", f"m{i}")] = width
+        capacities[(f"m{i}", "out")] = 2 * width
+    current = {f"f{i}": "T1" for i in range(n_flows, 0, -1)}
+    return ("bound", current, tunnel_paths, capacities, max_enumerate)
+
+
+def _count_solves(monkeypatch):
+    sizes = []
+
+    def counting(flows, capacities):
+        sizes.append(len(flows))
+        return max_min_fair(flows, capacities)
+
+    monkeypatch.setattr(repro.hecate.objectives, "max_min_fair", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n_tunnels, compositions", [(4, 84), (6, 462)])
+def test_exhaustive_branch_solves_once_per_composition(
+    monkeypatch, n_tunnels, compositions
+):
+    """Six flows in one re-optimisation tick used to cost 4**6 = 4 096
+    and 6**6 = 46 656 solves; the count-vector memo bounds them by the
+    compositions of six flows over the tunnels, for the same bytes."""
+    solves = _count_solves(monkeypatch)
+    instance = _shared_uplink_instance(6, n_tunnels)
+    got = outcome(assign_flows, instance)
+    assert comb(6 + n_tunnels - 1, n_tunnels - 1) == compositions
+    assert 0 < len(solves) <= compositions
+    assert set(solves) == {6}  # every solve sees the full named flow list
+    assert got == outcome(reference_assign_flows, instance)
+    assert got[4] > 0  # it had something to decide
+
+
+def test_greedy_branch_solves_at_most_once_per_move(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    instance = _shared_uplink_instance(20, 5)
+    got = outcome(assign_flows, instance)
+    assert 0 < len(solves) <= 20 * (5 - 1) + 1
+    assert got == outcome(reference_assign_flows, instance)
+
+
+def test_missing_capacity_raises_from_the_first_solve_that_meets_it(
+    monkeypatch,
+):
+    """The first solve of a count vector goes through ``max_min_fair``
+    with named flows, so its ``KeyError`` fires where it did before."""
+    for n_flows in (3, 9):
+        instance = _shared_uplink_instance(n_flows, 3)
+        del instance[3][("up", "m2")]
+        solves = _count_solves(monkeypatch)
+        got = outcome(assign_flows, instance)
+        assert got == outcome(reference_assign_flows, instance)
+        assert got[0] == "KeyError" and "('up', 'm2')" in got[1]
+        assert len(solves) == 2  # all on T1, then the first use of T2
 
 
 # -------------------------------------------------------------- capture
