@@ -308,9 +308,9 @@ def assign_flows(
         rates = {f: tunnel_rate[t] for f, t in zip(flows, on)}
         migrations = sum(1 for f in flows if assignment[f] != current[f])
         return (
-            # the builtin sum over the flows-ordered rates, as before the
-            # memo: the score is lexicographic on this float, and neither
-            # a hand-written += loop (Python 3.12's sum is compensated)
+            # must stay the builtin sum over the flows-ordered rates:
+            # the score is lexicographic on this float, and neither a
+            # hand-written += loop (Python 3.12's sum is compensated)
             # nor count x rate per tunnel rounds the same way
             total_throughput(rates),
             min(rates.values()),

@@ -37,15 +37,16 @@ Two sets of instances:
   tie-heavy and continuous values, ``current`` dicts in shuffled
   insertion order with flows starting on different tunnels.
 
-Tier-1 runs a slice of both (≈2 s) in this process and again in two
-subprocesses under different ``PYTHONHASHSEED`` values, whose outcome
-digests must agree.  The whole corpus and all 3 000 random instances
-(≈1 min, most of it the reference) run with
+Tier-1 runs a slice of both against the reference in this process
+(≈1.5 s) and again, candidate only, in two subprocesses under different
+``PYTHONHASHSEED`` values, whose outcome digests must equal this
+process's.  The whole corpus and all 3 000 random instances (≈40 s,
+most of it the reference) run with
 
     PYTHONPATH=src python tests/hecate/test_assign_flows_equivalence.py
 
 which is what the weekly ``perf-ledger`` CI job does.  To re-capture the
-corpus after an intentional change of its sources (≈1 min):
+corpus after an intentional change of its sources (≈20 s):
 
     PYTHONPATH=src python tests/hecate/test_assign_flows_equivalence.py \\
         --capture > tests/hecate/data/assign_flows_corpus.json
@@ -150,8 +151,7 @@ def reference_assign_flows(
 
 # ------------------------------------------------------------ instances
 
-#: (source, current, tunnel_paths, capacities, max_enumerate)
-Instance = Tuple[str, dict, dict, dict, int]
+# an instance is (source, current, tunnel_paths, capacities, max_enumerate)
 
 
 def outcome(function, instance):
@@ -455,6 +455,20 @@ def test_missing_capacity_raises_from_the_first_solve_that_meets_it(
 # -------------------------------------------------------------- capture
 
 
+class _Interner:
+    """Distinct items in first-seen order; calling it gives the index."""
+
+    def __init__(self):
+        self.items = []
+        self._index = {}
+
+    def __call__(self, item):
+        if item not in self._index:
+            self._index[item] = len(self.items)
+            self.items.append(item)
+        return self._index[item]
+
+
 def _record_calls(source, calls):
     """Route both consumers' ``assign_flows`` through a recorder."""
     import repro.backends.fluid
@@ -512,20 +526,8 @@ def capture():
         repro.backends.fluid.assign_flows = assign_flows
         repro.framework.controller.assign_flows = assign_flows
 
-    def intern(table, index, item):
-        if item not in index:
-            index[item] = len(table)
-            table.append(item)
-        return index[item]
-
-    tables = {
-        name: ([], {})
-        for name in ("strings", "paths", "tunnel_sets", "capacities", "sources")
-    }
-
-    def string(text):
-        return intern(*tables["strings"], text)
-
+    strings, paths, tunnel_sets = _Interner(), _Interner(), _Interner()
+    capacity_maps, sources = _Interner(), _Interner()
     instances, seen = [], set()
     for source, current, tunnel_paths, capacities in calls:
         used = {
@@ -533,47 +535,46 @@ def capture():
             for path in tunnel_paths.values()
             for a, b in zip(path[:-1], path[1:])
             for key in ((a, b), (b, a))
-            if key in capacities
         }
-        tunnel_set = intern(
-            *tables["tunnel_sets"],
+        tunnel_set = tunnel_sets(
             tuple(
-                (
-                    string(name),
-                    intern(*tables["paths"], tuple(map(string, path))),
-                )
+                (strings(name), paths(tuple(map(strings, path))))
                 for name, path in tunnel_paths.items()
-            ),
+            )
         )
-        caps = intern(
-            *tables["capacities"],
+        caps = capacity_maps(
             tuple(
-                (string(a), string(b), cap)
+                (strings(a), strings(b), cap)
                 for (a, b), cap in capacities.items()
                 if (a, b) in used
-            ),
+            )
         )
         names = list(tunnel_paths)
         starts = [names.index(tunnel) for tunnel in current.values()]
         instance = (
             tunnel_set,
             caps,
-            tuple(map(string, current)),
+            tuple(map(strings, current)),
             starts[0] if len(set(starts)) == 1 else tuple(starts),
         )
-        if instance in seen:
-            continue  # the same call again: a duplicate adds nothing
-        seen.add(instance)
-        instances.append((intern(*tables["sources"], source),) + instance)
+        if instance not in seen:  # the same call again adds nothing
+            seen.add(instance)
+            instances.append((sources(source),) + instance)
 
     def rows(items):
         compact = (json.dumps(i, separators=(",", ":")) for i in items)
         return "[\n" + ",\n".join(compact) + "\n]"
 
-    body = ",\n".join(
-        f'"{name}": {rows(tables[name][0])}' for name in sorted(tables)
-    )
-    return f'{{\n{body},\n"instances": {rows(instances)}\n}}'
+    tables = {
+        "capacities": capacity_maps.items,
+        "paths": paths.items,
+        "sources": sources.items,
+        "strings": strings.items,
+        "tunnel_sets": tunnel_sets.items,
+        "instances": instances,
+    }
+    body = ",\n".join(f'"{name}": {rows(t)}' for name, t in tables.items())
+    return "{\n" + body + "\n}"
 
 
 def main(argv):
