@@ -13,7 +13,7 @@ matching rule; an access list with no matching rule denies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.net.packets import Packet
 
@@ -171,9 +171,18 @@ class AccessList:
     def __init__(self, name: str, rules: Optional[List[AclRule]] = None):
         self.name = name
         self.rules: List[AclRule] = list(rules or [])
+        self._watchers: List[Callable[[], None]] = []
 
     def add(self, rule: AclRule) -> None:
         self.rules.append(rule)
+        for changed in self._watchers:
+            changed()
+
+    def watch(self, changed: Callable[[], None]) -> None:
+        """Call ``changed`` after every rule added from now on.  An edge
+        policy that installs this list remembers classification
+        decisions; this is how it learns they are stale."""
+        self._watchers.append(changed)
 
     def permits(self, packet: Packet) -> bool:
         return any(rule.matches(packet) for rule in self.rules)

@@ -20,6 +20,15 @@ from .acl import AccessList
 
 __all__ = ["PolkaTunnel", "PbrEntry", "EdgePolicy"]
 
+#: Decisions one edge policy remembers before it starts over.  A flow is
+#: at most two keys at an edge (its data one way, its ACKs or echo
+#: replies the other), so this covers hundreds of concurrent flows.
+DECISION_MEMO_SIZE = 1024
+
+#: what the decision memo is keyed on: every packet field an
+#: :class:`~repro.freertr.acl.AclRule` can read
+_MemoKey = Tuple[str, int, str, str]
+
 
 @dataclass
 class PolkaTunnel:
@@ -73,19 +82,29 @@ class EdgePolicy:
     Evaluates entries in order; the first whose access-list permits the
     packet selects the tunnel.  Exposed to the router as the
     ``classifier`` callable returning ``(route_id, egress)``.
+
+    The scan runs once per distinct ``(protocol, tos, src_ip, dst_ip)``:
+    its outcome — the matching :class:`PbrEntry`, or None — is kept in a
+    bounded decision memo that every change to the access-lists or to
+    the entry order drops.  Re-pointing an entry (:meth:`bind` on a
+    bound access-list) changes no match, and the tunnel is read from the
+    entry on every packet, so a migration invalidates nothing.
     """
 
-    def __init__(self, router_name: str):
+    def __init__(self, router_name: str) -> None:
         self.router_name = router_name
         self.access_lists: Dict[str, AccessList] = {}
         self.tunnels: Dict[int, PolkaTunnel] = {}
         self.entries: List[PbrEntry] = []
         self.reconfigurations: int = 0
+        self._decisions: Dict[_MemoKey, Optional[PbrEntry]] = {}
 
     # -------------------------------------------------------------- config
 
     def add_access_list(self, acl: AccessList) -> None:
         self.access_lists[acl.name] = acl
+        acl.watch(self._decisions.clear)
+        self._decisions.clear()
 
     def remove_access_list(self, name: str) -> None:
         """Delete an access-list that no PBR entry references.
@@ -101,6 +120,7 @@ class EdgePolicy:
                 "unbind it first"
             )
         del self.access_lists[name]
+        self._decisions.clear()
         self.reconfigurations += 1
 
     def add_tunnel(self, tunnel: PolkaTunnel) -> None:
@@ -128,6 +148,7 @@ class EdgePolicy:
                     self.reconfigurations += 1
                 return
         self.entries.append(PbrEntry(acl=acl_name, tunnel_id=tunnel_id))
+        self._decisions.clear()
         self.reconfigurations += 1
 
     def unbind(self, acl_name: str) -> None:
@@ -135,6 +156,7 @@ class EdgePolicy:
         self.entries = [e for e in self.entries if e.acl != acl_name]
         if len(self.entries) == before:
             raise KeyError(f"no PBR entry for access-list {acl_name!r}")
+        self._decisions.clear()
         self.reconfigurations += 1
 
     def binding_of(self, acl_name: str) -> Optional[int]:
@@ -145,14 +167,28 @@ class EdgePolicy:
 
     # ------------------------------------------------------------ classify
 
-    def classify(self, packet: Packet) -> Optional[Tuple[int, str]]:
+    def _first_match(self, packet: Packet) -> Optional[PbrEntry]:
         for entry in self.entries:
             acl = self.access_lists.get(entry.acl)
             if acl is not None and acl.permits(packet):
-                entry.hits += 1
-                tunnel = self.tunnels[entry.tunnel_id]
-                return tunnel.route.route_id, tunnel.egress
+                return entry
         return None
+
+    def classify(self, packet: Packet) -> Optional[Tuple[int, str]]:
+        key = (packet.protocol, packet.tos, packet.src_ip, packet.dst_ip)
+        decisions = self._decisions
+        try:
+            entry = decisions[key]
+        except KeyError:
+            entry = self._first_match(packet)
+            if len(decisions) >= DECISION_MEMO_SIZE:
+                decisions.clear()
+            decisions[key] = entry
+        if entry is None:
+            return None
+        entry.hits += 1
+        tunnel = self.tunnels[entry.tunnel_id]
+        return tunnel.route.route_id, tunnel.egress
 
     def install_on(self, network: Network) -> None:
         """Attach this policy as the router's classifier."""

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Deque, Tuple
 
 from .packets import Packet
 from .sim import Simulator
@@ -49,33 +50,47 @@ class LinkStats:
 
 
 class _Direction:
-    """One transmit direction: serializer + tail-drop FIFO."""
+    """One transmit direction: serializer + tail-drop FIFO.
 
-    def __init__(self, sim: Simulator, link: "Link", deliver: Callable[[Packet], None]):
+    At most one packet is being serialised at a time, so the direction
+    holds it in ``_in_flight`` and schedules one bound method for every
+    serialisation instead of building a closure per packet."""
+
+    #: the packet being serialised; meaningful while ``busy``
+    _in_flight: Packet
+
+    def __init__(self, sim: Simulator, link: "Link", receiver: "Node") -> None:
         self.sim = sim
         self.link = link
-        self.deliver = deliver
+        self.receiver = receiver
         self.queue: Deque[Packet] = deque()
         self.busy = False
         self.stats = LinkStats()
         self.background_mbps = 0.0
+        self._serialised = self._on_serialised
 
     def effective_rate_mbps(self) -> float:
         """Serialization rate left to packet-level traffic after the
         fluid background class took its share (floored at
         :data:`MIN_EFFECTIVE_RATE_FRACTION` of the configured rate)."""
-        floor = self.link.rate_mbps * MIN_EFFECTIVE_RATE_FRACTION
-        return max(self.link.rate_mbps - self.background_mbps, floor)
+        rate = self.link.rate_mbps
+        floor = rate * MIN_EFFECTIVE_RATE_FRACTION
+        left = rate - self.background_mbps
+        return floor if floor > left else left
 
     def send(self, packet: Packet) -> bool:
         """Enqueue for transmission; False (and a drop) when the queue is
         full or the link is administratively/physically down."""
-        if not self.link.up or len(self.queue) >= self.link.queue_packets:
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size
+        link = self.link
+        queue = self.queue
+        stats = self.stats
+        if not link.up or len(queue) >= link.queue_packets:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += packet.size
             return False
-        self.queue.append(packet)
-        self.stats.queue_peak = max(self.stats.queue_peak, len(self.queue))
+        queue.append(packet)
+        if len(queue) > stats.queue_peak:
+            stats.queue_peak = len(queue)
         if not self.busy:
             self._start_next()
         return True
@@ -85,18 +100,21 @@ class _Direction:
             self.busy = False
             return
         self.busy = True
-        packet = self.queue.popleft()
+        packet = self._in_flight = self.queue.popleft()
         tx_time = packet.size * 8.0 / (self.effective_rate_mbps() * 1e6)
         self.stats.tx_packets += 1
         self.stats.tx_bytes += packet.size
+        self.sim.schedule(tx_time, self._serialised)
 
-        def done(p=packet):
-            # serialization finished: start next packet, deliver this one
-            # after propagation delay
-            self.sim.schedule(self.link.delay_ms / 1e3, lambda: self.deliver(p))
-            self._start_next()
-
-        self.sim.schedule(tx_time, done)
+    def _on_serialised(self) -> None:
+        # serialization finished: deliver this packet after the
+        # propagation delay, then start the next one
+        link = self.link
+        self.sim.schedule(
+            link.delay_ms / 1e3,
+            partial(self.receiver.receive, self._in_flight, link),
+        )
+        self._start_next()
 
 
 class Link:
@@ -121,7 +139,7 @@ class Link:
         rate_mbps: float = 1000.0,
         delay_ms: float = 0.1,
         queue_packets: int = 100,
-    ):
+    ) -> None:
         if rate_mbps <= 0:
             raise ValueError("rate_mbps must be positive")
         if delay_ms < 0:
@@ -135,10 +153,10 @@ class Link:
         self.delay_ms = float(delay_ms)
         self.queue_packets = int(queue_packets)
         self.up = True  # failure injection: down links black-hole traffic
-        self._ab = _Direction(sim, self, lambda p: node_b.receive(p, self))
-        self._ba = _Direction(sim, self, lambda p: node_a.receive(p, self))
+        self._ab = _Direction(sim, self, node_b)
+        self._ba = _Direction(sim, self, node_a)
 
-    def endpoints(self):
+    def endpoints(self) -> Tuple["Node", "Node"]:
         return self.node_a, self.node_b
 
     def other(self, node: "Node") -> "Node":
@@ -150,19 +168,11 @@ class Link:
 
     def send_from(self, node: "Node", packet: Packet) -> bool:
         """Transmit ``packet`` out of ``node`` towards the other end."""
-        if node is self.node_a:
-            return self._ab.send(packet)
-        if node is self.node_b:
-            return self._ba.send(packet)
-        raise ValueError(f"{node.name} is not attached to this link")
+        return self._direction_from(node).send(packet)
 
     def stats_from(self, node: "Node") -> LinkStats:
         """Counters for the direction transmitting out of ``node``."""
-        if node is self.node_a:
-            return self._ab.stats
-        if node is self.node_b:
-            return self._ba.stats
-        raise ValueError(f"{node.name} is not attached to this link")
+        return self._direction_from(node).stats
 
     def _direction_from(self, node: "Node") -> _Direction:
         if node is self.node_a:
@@ -190,9 +200,7 @@ class Link:
         return self._direction_from(node).background_mbps
 
     def queue_depth_from(self, node: "Node") -> int:
-        if node is self.node_a:
-            return len(self._ab.queue)
-        return len(self._ba.queue)
+        return len(self._direction_from(node).queue)
 
     def __repr__(self) -> str:
         return (

@@ -27,6 +27,21 @@ microseconds ahead of ``now`` and never pay log-cost proportional to the
 thousands of far-future flow starts, failure injections and background
 epoch edges a scale-tier scenario schedules up front.
 
+One loop
+--------
+:meth:`Simulator.run` is the only dispatcher: it skips cancelled
+entries, advances the calendar, checks ``until`` and the budget and
+calls the event's callback, all in its own frame, and
+:meth:`Simulator.schedule` builds its queue entry itself.  A packet hop
+is two events, so a Python call per event on either side (the former
+``peek_time()`` + ``step()`` pair, ``schedule`` → ``schedule_at``) was a
+measurable share of every DES and hybrid run; see "What a packet hop
+costs" in docs/PERFORMANCE.md.  :meth:`Simulator.peek_time` remains for
+callers that want to look at the queue without running it.  Times must
+be finite: a ``nan`` or ``inf`` entry could never be promoted out of the
+far bucket, so scheduling one raises ``ValueError`` instead of hanging
+the next ``run``.
+
 Scale hardening
 ---------------
 Two features keep the loop honest under the scale-tier workloads the
@@ -138,21 +153,44 @@ class Simulator:
         self.truncated: bool = False
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` ``delay`` seconds from now (>= 0)."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback)
+        """Run ``callback`` ``delay`` seconds from now (>= 0, finite).
+
+        The hot scheduling call (every packet hop makes two), so it
+        builds its queue entry itself instead of going through
+        :meth:`schedule_at`."""
+        time = self.now + delay
+        if not (delay >= 0 and time < math.inf):
+            if delay < 0:
+                raise ValueError(
+                    f"cannot schedule in the past (delay={delay})"
+                )
+            raise ValueError(
+                f"cannot schedule at a non-finite time (delay={delay})"
+            )
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        if time < self._near_end:
+            heapq.heappush(self._near, (time, seq, event))
+        else:
+            self._far.append((time, seq, event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        if time < self.now:
+        """Run ``callback`` at virtual time ``time`` (>= now, finite)."""
+        if not self.now <= time < math.inf:
+            if time < self.now:
+                raise ValueError(
+                    f"cannot schedule at {time} (now is {self.now})"
+                )
             raise ValueError(
-                f"cannot schedule at {time} (now is {self.now})"
+                f"cannot schedule at a non-finite time (time={time})"
             )
-        event = Event(time, next(self._seq), callback)
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
         if time < self._near_end:
-            heapq.heappush(self._near, (time, event.seq, event))
+            heapq.heappush(self._near, (time, seq, event))
         else:
-            self._far.append((time, event.seq, event))
+            self._far.append((time, seq, event))
         return event
 
     def schedule_batch(
@@ -222,22 +260,6 @@ class Simulator:
             if not entry[2].cancelled
         )
 
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        near = self._near
-        while True:
-            while near:
-                time, _seq, event = heapq.heappop(near)
-                if event.cancelled:
-                    continue
-                self.now = time
-                self.events_processed += 1
-                event.callback()
-                return True
-            if not self._advance():
-                return False
-            near = self._near
-
     def run(
         self,
         until: Optional[float] = None,
@@ -259,15 +281,24 @@ class Simulator:
             raise ValueError(
                 f"on_budget must be 'raise' or 'truncate', got {on_budget!r}"
             )
+        horizon = math.inf if until is None else until
+        heappop = heapq.heappop
         processed = 0
+        near = self._near
         while True:
-            next_time = self.peek_time()
-            if next_time is None:
+            if not near:
+                if self._advance():
+                    near = self._near
+                    continue
                 if until is not None:
                     self.now = max(self.now, until)
                 return
-            if until is not None and next_time > until:
-                self.now = until
+            time, _seq, event = near[0]
+            if event.cancelled:
+                heappop(near)
+                continue
+            if time > horizon:
+                self.now = horizon
                 return
             if processed >= max_events:
                 if on_budget == "truncate":
@@ -281,5 +312,10 @@ class Simulator:
                     )
                     return
                 raise EventBudgetExceeded(max_events, self.now, until)
-            self.step()
+            heappop(near)
+            self.now = time
+            self.events_processed += 1
             processed += 1
+            event.callback()
+            # a callback may have advanced the calendar (peek_time)
+            near = self._near

@@ -12,6 +12,7 @@ provided for the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import gf2
@@ -25,6 +26,14 @@ __all__ = [
     "PolkaDomain",
     "assign_node_ids",
 ]
+
+
+#: ``gf2.mod`` behind a bounded memo, for :meth:`PolkaNode.forward`: a
+#: simulated packet stream asks for the same few (routeID, nodeID)
+#: residues millions of times.  The remainder is a pure function of two
+#: ints, so remembering it on the host changes nothing about the
+#: modelled switch, which still keeps no per-route state.
+_residue = lru_cache(maxsize=4096)(gf2.mod)
 
 
 def assign_node_ids(names: Sequence[str], max_port: int) -> Dict[str, int]:
@@ -83,7 +92,7 @@ class PolkaNode:
         One polynomial remainder — the operation P4 hardware implements by
         reusing its CRC engine.
         """
-        return gf2.mod(route_id, self.node_id)
+        return _residue(route_id, self.node_id)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,23 @@ class TestLink:
         assert stats.tx_packets == 1
         assert stats.tx_bytes == 777
 
+    def test_every_per_direction_query_rejects_a_stranger(self):
+        net = two_hosts()
+        link = net.link("a", "b")
+        stranger = Host(net.sim, "c")
+        packet = Packet(src="c", dst="b", size=100)
+        for query in (
+            link.queue_depth_from,
+            link.stats_from,
+            link.background_from,
+            link.direction_from,
+            link.other,
+            lambda node: link.send_from(node, packet),
+        ):
+            with pytest.raises(ValueError, match="c is not attached"):
+                query(stranger)
+        assert link.queue_depth_from(net.hosts["b"]) == 0
+
     def test_validation(self):
         sim = Simulator()
         a, b = Host(sim, "a"), Host(sim, "b")

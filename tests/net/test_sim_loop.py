@@ -7,6 +7,8 @@ breaking at equal timestamps, lazy cancelled-event skipping, exact
 never silently truncate), and coalesced batch events.
 """
 
+import math
+
 import pytest
 
 from repro.net import EventBudgetExceeded, Simulator
@@ -133,6 +135,21 @@ class TestRunBoundaries:
         sim.run(until=2.0, max_events=3)
         sim.run(max_events=3)  # fresh budget for the second call
         assert sim.events_processed == 6
+
+    @pytest.mark.parametrize("when", [math.inf, math.nan, -math.inf])
+    def test_non_finite_times_are_rejected_at_schedule_time(self, when):
+        """An ``inf``/``nan`` entry can never leave the far bucket, so
+        ``run(until=1.0)`` used to spin on it forever."""
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(when, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(when, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_batch(when, [lambda: None])
+        assert sim.pending_events() == 0
+        sim.run(until=1.0)
+        assert sim.now == 1.0
 
 
 class TestScheduleBatch:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.polka import MultipathDomain, PolkaDomain, gf2, pairwise_coprime
+from repro.polka import routing
+from repro.polka.routing import PolkaNode
 
 
 class TestFieldProperties:
@@ -124,3 +126,37 @@ class TestHeaderScaling:
         route = domain.route_for_path(names)
         bound = sum(gf2.deg(m) for m in route.moduli)
         assert route.header_bits <= bound + 1
+
+
+class TestResidueMemo:
+    """``PolkaNode.forward`` answers from a bounded memo of ``gf2.mod``;
+    the memo must be invisible."""
+
+    NODE_IDS = tuple(gf2.first_irreducibles(4, min_degree=5))
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 400) - 1),
+        st.sampled_from(NODE_IDS),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_forward_is_the_polynomial_remainder(self, route_id, node_id):
+        node = PolkaNode("n", node_id)
+        assert node.forward(route_id) == gf2.mod(route_id, node_id)
+        assert node.forward(route_id) == gf2.mod(route_id, node_id)  # a hit
+
+    def test_right_and_bounded_past_the_memo_size(self):
+        size = routing._residue.cache_parameters()["maxsize"]
+        rng = np.random.default_rng(0)
+        nodes = [PolkaNode(f"n{i}", p) for i, p in enumerate(self.NODE_IDS)]
+        route_ids = [
+            int.from_bytes(rng.bytes(int(rng.integers(1, 51))), "big")
+            for _ in range(size // len(nodes) + 300)
+        ]
+        for _ in range(2):  # second pass: evicted pairs are recomputed
+            for route_id in route_ids:
+                for node in nodes:
+                    assert node.forward(route_id) == gf2.mod(
+                        route_id, node.node_id
+                    )
+        assert len(route_ids) * len(nodes) > size
+        assert routing._residue.cache_info().currsize == size
