@@ -53,7 +53,7 @@ class _Direction:
     """One transmit direction: serializer + tail-drop FIFO.
 
     At most one packet is being serialised at a time, so the direction
-    holds it in ``_in_flight`` and schedules one bound method for every
+    holds it in ``_in_flight`` and schedules a bound method for every
     serialisation instead of building a closure per packet."""
 
     #: the packet being serialised; meaningful while ``busy``
@@ -67,7 +67,6 @@ class _Direction:
         self.busy = False
         self.stats = LinkStats()
         self.background_mbps = 0.0
-        self._serialised = self._on_serialised
 
     def effective_rate_mbps(self) -> float:
         """Serialization rate left to packet-level traffic after the
@@ -106,7 +105,7 @@ class _Direction:
         self.stats.tx_bytes += packet.size
         self.sim.schedule(tx_time, self._serialised)
 
-    def _on_serialised(self) -> None:
+    def _serialised(self) -> None:
         # serialization finished: deliver this packet after the
         # propagation delay, then start the next one
         link = self.link
