@@ -80,17 +80,17 @@ def packet_path_pin(name, backend, horizon, warmup):
     return {
         "events": network.sim.events_processed,
         "rx_log": {
-            name: _rx_digest(host.rx_log, base)
-            for name, host in sorted(network.hosts.items())
+            host: _rx_digest(node.rx_log, base)
+            for host, node in sorted(network.hosts.items())
         },
         "links": dict(sorted(links.items())),
         "routers": {
-            name: dataclasses.asdict(router.stats)
-            for name, router in sorted(network.routers.items())
+            router: dataclasses.asdict(node.stats)
+            for router, node in sorted(network.routers.items())
         },
         "pbr": {
-            name: [[e.acl, e.tunnel_id, e.hits] for e in policy.entries]
-            for name, policy in sorted(sdn.router_config.policies.items())
+            router: [[e.acl, e.tunnel_id, e.hits] for e in policy.entries]
+            for router, policy in sorted(sdn.router_config.policies.items())
         },
     }
 

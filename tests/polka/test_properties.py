@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.polka import MultipathDomain, PolkaDomain, gf2, pairwise_coprime
 from repro.polka import routing
-from repro.polka.routing import PolkaNode
 
 
 class TestFieldProperties:
@@ -140,14 +139,17 @@ class TestResidueMemo:
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_forward_is_the_polynomial_remainder(self, route_id, node_id):
-        node = PolkaNode("n", node_id)
+        node = routing.PolkaNode("n", node_id)
         assert node.forward(route_id) == gf2.mod(route_id, node_id)
         assert node.forward(route_id) == gf2.mod(route_id, node_id)  # a hit
 
     def test_right_and_bounded_past_the_memo_size(self):
         size = routing._residue.cache_parameters()["maxsize"]
         rng = np.random.default_rng(0)
-        nodes = [PolkaNode(f"n{i}", p) for i, p in enumerate(self.NODE_IDS)]
+        nodes = [
+            routing.PolkaNode(f"n{i}", p)
+            for i, p in enumerate(self.NODE_IDS)
+        ]
         route_ids = [
             int.from_bytes(rng.bytes(int(rng.integers(1, 51))), "big")
             for _ in range(size // len(nodes) + 300)
