@@ -1,32 +1,30 @@
 """Scale-tier benchmarks: the hybrid backend against pure DES.
 
-The hybrid flow-class backend aggregates the mice into fluid background
-load while the elephants stay packet-level, so the packet domain
-carries a fraction of the events.  The speedup test below pins that on
-the smallest scale scenario (2 000 flows, shortened horizon so the DES
-reference stays affordable in CI); the tracked benchmark keeps the
-hybrid path itself under the regression gate so the speedup cannot
-silently erode from the hybrid side.
-
-The wall-clock floor used to be 10x (~24x measured).  Almost all of
-that was not the events: with 2 000 per-flow access-lists, pure DES
-re-scanned ~250 lists per edge for every packet (47 s against 1.6 s on
-this workload).  Since ``EdgePolicy`` remembers its decision per flow,
-DES classifies once per flow and the same 864 784 events take 2.5 s
-against 1.0 s; what is left of the ratio is the mechanism itself, which
-is asserted on the deterministic event counts.
+The hybrid flow-class backend exists for exactly one claim: a 2k+-flow
+scenario completes faster than under pure packet-level DES when the
+mice are aggregated into fluid background load, while the elephants
+stay packet-level, because the packet domain then carries a fraction of
+the events.  The speedup test below pins that claim on the smallest
+scale scenario (2 000 flows, shortened horizon so the DES reference
+stays affordable in CI): the event share exactly, the stopwatch near
+what it measures.  The tracked benchmark keeps the hybrid path itself
+under the regression gate so the speedup cannot silently erode from the
+hybrid side.
 """
 
 import time
 
 from repro.scenarios import ScenarioRunner, get_scenario
 
-#: hybrid must beat pure DES on the stopwatch by at least this (~2.4x
-#: measured; the two runs are sequential, so the floor leaves room for
-#: the host changing speed between them)
-SPEEDUP_FLOOR = 1.2
-#: ... and because the packet domain carried at most this share of the
-#: DES events (405 358 of 864 784; exact, the runs are deterministic)
+#: the acceptance floor: hybrid must beat pure DES by at least this on
+#: the stopwatch (~2.4x measured; 864 784 events against 405 358 is
+#: 2.13x before either side's per-event cost)
+SPEEDUP_FLOOR = 2.0
+#: alternating runs of each backend; the fastest of each is compared, so
+#: one slow stretch of the host does not decide the ratio
+ROUNDS = 3
+#: the mechanism behind it: the hybrid packet domain carries at most
+#: this share of the DES events (0.469 here; the counts are exact)
 EVENT_SHARE_CEILING = 0.5
 
 
@@ -51,22 +49,25 @@ def test_scale_2k_hybrid(run_once, benchmark):
 
 
 def test_scale_2k_hybrid_speedup_vs_des():
-    """Hybrid beats pure DES on a 2k-flow scale scenario, by carrying
-    less than half the packet events.
+    """The tentpole acceptance: hybrid beats pure DES on a 2k-flow
+    scale scenario, on the stopwatch and event for event.
 
-    Measured with one run of each backend on the identical workload
-    (same seed, same generated flows, same failure plan).  Not a
-    pytest-benchmark fixture: one round of each is enough.
+    Measured on the identical workload (same seed, same generated
+    flows, same failure plan).  Not a pytest-benchmark fixture: it
+    compares two backends, and a few alternating rounds of each are
+    plenty to clear the floor.
     """
     scenario = _scale_2k()
 
-    start = time.perf_counter()
-    hybrid = ScenarioRunner(scenario, backend="hybrid").run()
-    hybrid_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    des = ScenarioRunner(scenario, backend="des").run()
-    des_s = time.perf_counter() - start
+    walls = {"hybrid": [], "des": []}
+    results = {}
+    for _ in range(ROUNDS):
+        for backend in walls:
+            start = time.perf_counter()
+            results[backend] = ScenarioRunner(scenario, backend=backend).run()
+            walls[backend].append(time.perf_counter() - start)
+    hybrid, des = results["hybrid"], results["des"]
+    hybrid_s, des_s = min(walls["hybrid"]), min(walls["des"])
 
     speedup = des_s / hybrid_s
     print(

@@ -13,7 +13,7 @@ matching rule; an access list with no matching rule denies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packets import Packet
 
@@ -171,18 +171,27 @@ class AccessList:
     def __init__(self, name: str, rules: Optional[List[AclRule]] = None):
         self.name = name
         self.rules: List[AclRule] = list(rules or [])
-        self._watchers: List[Callable[[], None]] = []
+        self._memos: Tuple[Dict[Any, Any], ...] = ()
 
     def add(self, rule: AclRule) -> None:
         self.rules.append(rule)
-        for changed in self._watchers:
-            changed()
+        for memo in self._memos:
+            memo.clear()
 
-    def watch(self, changed: Callable[[], None]) -> None:
-        """Call ``changed`` after every rule added from now on.  An edge
-        policy that installs this list remembers classification
-        decisions; this is how it learns they are stale."""
-        self._watchers.append(changed)
+    def watch(self, memo: Dict[Any, Any]) -> None:
+        """Empty ``memo`` after every rule added from now on (once per
+        memo, however often it is registered).  An edge policy that
+        installs this list keeps its classification decisions in such a
+        dict; this is how they are dropped when they go stale."""
+        for known in self._memos:
+            if known is memo:
+                return
+        self._memos += (memo,)
+
+    def unwatch(self, memo: Dict[Any, Any]) -> None:
+        """Stop emptying ``memo``: its policy uninstalled this list."""
+        kept = [known for known in self._memos if known is not memo]
+        self._memos = tuple(kept)
 
     def permits(self, packet: Packet) -> bool:
         return any(rule.matches(packet) for rule in self.rules)

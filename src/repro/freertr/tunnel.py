@@ -22,7 +22,10 @@ __all__ = ["PolkaTunnel", "PbrEntry", "EdgePolicy"]
 
 #: Decisions one edge policy remembers before it starts over.  A flow is
 #: at most two keys at an edge (its data one way, its ACKs or echo
-#: replies the other), so this covers hundreds of concurrent flows.
+#: replies the other).  The busiest edge measured, one of
+#: ``scale-fat-tree-2k`` on ``des`` with 266 access-lists installed,
+#: holds 66 keys; an edge of the hybrid scale tier holds 6 to 13
+#: (docs/PERFORMANCE.md, "What a packet hop costs").
 DECISION_MEMO_SIZE = 1024
 
 #: what the decision memo is keyed on: every packet field an
@@ -102,8 +105,11 @@ class EdgePolicy:
     # -------------------------------------------------------------- config
 
     def add_access_list(self, acl: AccessList) -> None:
+        replaced = self.access_lists.get(acl.name)
+        if replaced is not None:
+            replaced.unwatch(self._decisions)
         self.access_lists[acl.name] = acl
-        acl.watch(self._decisions.clear)
+        acl.watch(self._decisions)
         self._decisions.clear()
 
     def remove_access_list(self, name: str) -> None:
@@ -119,7 +125,7 @@ class EdgePolicy:
                 f"access-list {name!r} is still referenced by a PBR entry; "
                 "unbind it first"
             )
-        del self.access_lists[name]
+        self.access_lists.pop(name).unwatch(self._decisions)
         self._decisions.clear()
         self.reconfigurations += 1
 

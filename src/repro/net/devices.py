@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.polka.routing import PolkaNode
 
-from .links import Link, _Direction
+from .links import Link
 from .packets import Packet
 from .sim import Simulator
 
@@ -35,24 +35,24 @@ class Node:
         self.name = name
         self.ports: Dict[int, Link] = {}
         self.port_of: Dict[str, int] = {}  # neighbour name -> port
-        # port -> this node's transmit direction on that port's link,
-        # resolved once at attach so a hop sends without asking the link
-        # which end it is
-        self._tx: Dict[int, _Direction] = {}
+        # port -> ``send`` of this node's transmit direction on that
+        # port's link, resolved once at attach so a hop sends without
+        # asking the link which end it is
+        self._send_on: Dict[int, Callable[[Packet], bool]] = {}
 
     def attach(self, port: int, link: Link) -> None:
         if port in self.ports:
             raise ValueError(f"{self.name}: port {port} already attached")
         self.ports[port] = link
         self.port_of[link.other(self).name] = port
-        self._tx[port] = link.direction_from(self)
+        self._send_on[port] = link.direction_from(self).send
 
     def send_out(self, port: int, packet: Packet) -> bool:
         try:
-            direction = self._tx[port]
+            send = self._send_on[port]
         except KeyError:
             raise KeyError(f"{self.name}: no link on port {port}") from None
-        return direction.send(packet)
+        return send(packet)
 
     def receive(self, packet: Packet, link: Link) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -203,8 +203,8 @@ class Router(Node):
         self._transmit(port, packet)
 
     def _transmit(self, port: int, packet: Packet) -> None:
-        direction = self._tx.get(port)
-        if direction is None:
+        send = self._send_on.get(port)
+        if send is None:
             self.stats.dropped_no_route += 1
-        elif not direction.send(packet):
+        elif not send(packet):
             self.stats.dropped_queue_full += 1

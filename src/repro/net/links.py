@@ -165,10 +165,6 @@ class Link:
             return self.node_a
         raise ValueError(f"{node.name} is not attached to this link")
 
-    def send_from(self, node: "Node", packet: Packet) -> bool:
-        """Transmit ``packet`` out of ``node`` towards the other end."""
-        return self._direction_from(node).send(packet)
-
     def stats_from(self, node: "Node") -> LinkStats:
         """Counters for the direction transmitting out of ``node``."""
         return self._direction_from(node).stats

@@ -32,12 +32,12 @@ One loop
 :meth:`Simulator.run` is the only dispatcher: it skips cancelled
 entries, advances the calendar, checks ``until`` and the budget and
 calls the event's callback, all in its own frame, and
-:meth:`Simulator.schedule` builds its queue entry itself.  A packet hop
-is two events, so a Python call per event on either side (the former
-``peek_time()`` + ``step()`` pair, ``schedule`` → ``schedule_at``) was a
-measurable share of every DES and hybrid run; see "What a packet hop
-costs" in docs/PERFORMANCE.md.  :meth:`Simulator.peek_time` remains for
-callers that want to look at the queue without running it.  Times must
+:meth:`Simulator.schedule` builds its queue entry itself.  There is no
+single-event ``step()``: a packet hop is two events, so one more Python
+frame per event on either side of the callback is a measurable share of
+every DES and hybrid run (see "What a packet hop costs" in
+docs/PERFORMANCE.md).  :meth:`Simulator.peek_time` is for callers that
+want to look at the queue without running it.  Times must
 be finite: a ``nan`` or ``inf`` entry could never be promoted out of the
 far bucket, so scheduling one raises ``ValueError`` instead of hanging
 the next ``run``.

@@ -17,6 +17,8 @@ list, so on its own it cannot change a match; its clear is there so the
 rule stays "every mutator drops the memo".
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,3 +178,45 @@ def test_memo_is_bounded_and_still_right_past_its_size():
         assert len(memoised._decisions) <= DECISION_MEMO_SIZE
     assert state(memoised) == state(scanned)
     assert memoised.entries[0].hits > DECISION_MEMO_SIZE
+
+
+PERMITTED = PACKETS[0]  # tcp 10.1.1.1 -> 20.2.2.2, matched by RULES[1]
+EVERYTHING = RULES[0]
+
+
+def test_a_list_holds_a_policy_only_while_installed_there():
+    policy = new_policy()
+    first = AccessList("a", [RULES[1]])
+    policy.add_access_list(first)
+    policy.add_access_list(first)  # installing twice registers once
+    assert len(first._memos) == 1
+    second = AccessList("a")
+    policy.add_access_list(second)  # replacing lets go of the old one
+    assert first._memos == () and len(second._memos) == 1
+    policy.remove_access_list("a")
+    assert second._memos == ()
+
+
+def test_a_shared_list_tells_every_policy_it_is_installed_in():
+    shared = AccessList("a")
+    policies = [new_policy(), new_policy()]
+    for policy in policies:
+        policy.add_access_list(shared)
+        policy.bind("a", 1)
+        assert policy.classify(PERMITTED) is None
+    shared.add(EVERYTHING)
+    for policy in policies:
+        assert policy.classify(PERMITTED) == (1001, "r9")
+
+
+def test_a_copied_policy_is_told_by_its_own_lists_only():
+    original = new_policy()
+    original.add_access_list(AccessList("a"))
+    original.bind("a", 1)
+    clone = copy.deepcopy(original)
+    assert original.classify(PERMITTED) is None
+    assert clone.classify(PERMITTED) is None
+    clone.access_lists["a"].add(EVERYTHING)
+    assert clone.classify(PERMITTED) == (1001, "r9")
+    assert original.classify(PERMITTED) is None
+    assert clone.entries[0].hits == 1 and original.entries[0].hits == 0

@@ -165,14 +165,12 @@ class TestLink:
         net = two_hosts()
         link = net.link("a", "b")
         stranger = Host(net.sim, "c")
-        packet = Packet(src="c", dst="b", size=100)
         for query in (
             link.queue_depth_from,
             link.stats_from,
             link.background_from,
             link.direction_from,
             link.other,
-            lambda node: link.send_from(node, packet),
         ):
             with pytest.raises(ValueError, match="c is not attached"):
                 query(stranger)

@@ -138,8 +138,8 @@ class TestRunBoundaries:
 
     @pytest.mark.parametrize("when", [math.inf, math.nan, -math.inf])
     def test_non_finite_times_are_rejected_at_schedule_time(self, when):
-        """An ``inf``/``nan`` entry can never leave the far bucket, so
-        ``run(until=1.0)`` used to spin on it forever."""
+        """An ``inf``/``nan`` entry could never leave the far bucket:
+        ``run(until=1.0)`` would spin on it forever."""
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(when, lambda: None)
