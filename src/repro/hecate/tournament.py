@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets import WirelessDataset
-from repro.ml.registry import REGRESSOR_SPECS, roster
+from repro.ml.registry import regressor_spec, roster
 from repro.net.qoe import rate_to_mos
 
 from .predictor import evaluate_pipeline
@@ -135,7 +135,8 @@ def run_tournament(
     Parameters
     ----------
     entrants:
-        Paper ids to run (default: all eighteen).
+        Paper ids or labels to run (default: all eighteen); an unknown
+        name raises the registry's ``KeyError``, which lists the roster.
     gpr_paper_mode:
         Evaluate R7 on the raw (unscaled) pipeline, reproducing the
         published off-scale GPR numbers; set False to run GPR through the
@@ -154,11 +155,14 @@ def run_tournament(
         QoE model used when ``target="mos"`` (default ``"video"``, the
         most rate-sensitive ladder).
     """
-    ids = list(entrants) if entrants is not None else [s.paper_id for s in roster()]
+    specs = (
+        [regressor_spec(name) for name in entrants]
+        if entrants is not None
+        else roster()
+    )
     entries: List[TournamentEntry] = []
-    for paper_id in ids:
-        spec = REGRESSOR_SPECS[paper_id]
-        scale = not (gpr_paper_mode and paper_id == "R7")
+    for spec in specs:
+        scale = not (gpr_paper_mode and spec.paper_id == "R7")
         wifi = evaluate_pipeline(
             _target_series(dataset.path(1), target, app_class),
             spec.factory(), n_lags=n_lags,
@@ -171,7 +175,7 @@ def run_tournament(
         )
         entries.append(
             TournamentEntry(
-                paper_id=paper_id,
+                paper_id=spec.paper_id,
                 label=spec.label,
                 rmse_wifi=wifi.rmse,
                 rmse_lte=lte.rmse,

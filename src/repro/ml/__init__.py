@@ -1,16 +1,20 @@
-"""repro.ml — a from-scratch regression suite (mini-sklearn).
+"""repro.ml — the paper's regression suite, reimplemented on numpy/scipy.
 
-scikit-learn is not available in this environment, so the paper's entire
-ML layer is reimplemented on numpy/scipy behind the familiar
-``fit``/``predict``/``get_params`` API: all eighteen tournament regressors
-(Sec. V.A.2), ``StandardScaler``, train/test splitting, lag-matrix
-windowing and the RMSE-family metrics.
+scikit-learn is not available in this environment, so the paper's ML
+layer is rebuilt behind sklearn's ``fit``/``predict``/``get_params``
+names, and holds only what the paper's protocol runs: ``StandardScaler``,
+the 10-lag window (:func:`make_lag_matrix`), the eighteen tournament
+regressors of Sec. V.A.2 plus the MLP extension, and RMSE.
+
+The tree models share one core: CART (:mod:`repro.ml.tree`) grows every
+tree, and the five ensembles of :mod:`repro.ml.ensemble` predict through
+one packed node table each.
 
 Use :func:`repro.ml.registry.make_regressor` / ``roster()`` to obtain the
 paper's entrants by their R1..R18 identifiers (or labels, e.g. ``"RFR"``).
 """
 
-from .base import BaseEstimator, NotFittedError, RegressorMixin, clone
+from .base import BaseEstimator, NotFittedError, clone
 from .ensemble import (
     AdaBoostRegressor,
     BaggingRegressor,
@@ -38,26 +42,10 @@ from .linear_model import (
     SGDRegressor,
     TheilSenRegressor,
 )
-from .metrics import (
-    explained_variance_score,
-    max_error,
-    mean_absolute_error,
-    mean_absolute_percentage_error,
-    mean_squared_error,
-    median_absolute_error,
-    r2_score,
-    root_mean_squared_error,
-)
-from .model_selection import (
-    KFold,
-    TimeSeriesSplit,
-    cross_val_score,
-    make_lag_matrix,
-    train_test_split,
-)
+from .metrics import mean_squared_error, root_mean_squared_error
+from .model_selection import make_lag_matrix
 from .neural import MLPRegressor
-from .pipeline import Pipeline, make_pipeline
-from .preprocessing import MinMaxScaler, StandardScaler
+from .preprocessing import StandardScaler
 from .registry import (
     REGRESSOR_SPECS,
     RegressorSpec,
@@ -70,7 +58,7 @@ from .tree import DecisionTreeRegressor
 
 __all__ = [
     # base
-    "BaseEstimator", "RegressorMixin", "NotFittedError", "clone",
+    "BaseEstimator", "NotFittedError", "clone",
     # linear
     "LinearRegression", "Ridge", "Lasso", "ElasticNet", "SGDRegressor",
     "HuberRegressor", "ARDRegression", "RANSACRegressor", "TheilSenRegressor",
@@ -83,16 +71,12 @@ __all__ = [
     "WhiteKernel", "Sum", "Product",
     # svm
     "SVR", "LinearSVR",
-    # metrics
-    "mean_squared_error", "root_mean_squared_error", "mean_absolute_error",
-    "median_absolute_error", "max_error", "r2_score",
-    "explained_variance_score", "mean_absolute_percentage_error",
-    # selection / preprocessing
-    "train_test_split", "make_lag_matrix", "KFold", "TimeSeriesSplit",
-    "cross_val_score", "StandardScaler", "MinMaxScaler",
+    # protocol: scaling, windowing, scoring
+    "StandardScaler", "make_lag_matrix",
+    "mean_squared_error", "root_mean_squared_error",
     # registry
     "REGRESSOR_SPECS", "RegressorSpec", "regressor_spec", "make_regressor",
     "roster",
     # extensions
-    "MLPRegressor", "Pipeline", "make_pipeline",
+    "MLPRegressor",
 ]

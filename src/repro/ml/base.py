@@ -1,10 +1,11 @@
-"""Estimator base classes and validation helpers for the mini-sklearn.
+"""Estimator base class and validation helpers.
 
 scikit-learn is unavailable offline, so :mod:`repro.ml` reimplements the
-eighteen regressors the paper evaluates (Sec. V.A.2) behind the same
-``fit`` / ``predict`` / ``get_params`` surface.  Keeping the API identical
-means Hecate's predictor pipeline and the tournament harness read exactly
-like the paper's sklearn-based code.
+eighteen regressors the paper evaluates (Sec. V.A.2) behind sklearn's
+``fit`` / ``predict`` / ``get_params`` surface.  Keeping those names
+means Hecate's predictor pipeline and the tournament harness read like
+the paper's sklearn-based code; :func:`clone` is how Hecate gets a fresh
+copy of the model it was handed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "BaseEstimator",
-    "RegressorMixin",
     "clone",
     "check_array",
     "check_X_y",
@@ -110,18 +110,6 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
     """Fresh unfitted copy with the same hyperparameters."""
     params = {k: copy.deepcopy(v) for k, v in estimator.get_params().items()}
     return type(estimator)(**params)
-
-
-class RegressorMixin:
-    """Adds the default R^2 ``score`` used across the suite."""
-
-    def score(self, X, y) -> float:
-        from .metrics import r2_score
-
-        return r2_score(y, self.predict(X))
-
-    def fit_predict(self, X, y) -> np.ndarray:
-        return self.fit(X, y).predict(X)
 
 
 def resolve_rng(random_state) -> np.random.Generator:

@@ -21,7 +21,6 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .base import (
     BaseEstimator,
-    RegressorMixin,
     check_is_fitted,
     check_X_y,
     check_array,
@@ -220,7 +219,7 @@ class Product(_Binary):
         return self.k1.diag(A) * self.k2.diag(A)
 
 
-class GaussianProcessRegressor(BaseEstimator, RegressorMixin):
+class GaussianProcessRegressor(BaseEstimator):
     """Exact GP regression via Cholesky factorization.
 
     Defaults reproduce the paper's "default hyperparameters" setting:

@@ -18,7 +18,6 @@ from scipy import optimize
 
 from .base import (
     BaseEstimator,
-    RegressorMixin,
     check_is_fitted,
     check_X_y,
     check_array,
@@ -52,7 +51,7 @@ class _LinearPredictorMixin:
         return X @ self.coef_ + self.intercept_
 
 
-class LinearRegression(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class LinearRegression(BaseEstimator, _LinearPredictorMixin):
     """Ordinary least squares via numpy's (SVD-based) ``lstsq``."""
 
     def __init__(self, fit_intercept: bool = True):
@@ -74,7 +73,7 @@ class LinearRegression(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
         return self
 
 
-class Ridge(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class Ridge(BaseEstimator, _LinearPredictorMixin):
     """L2-penalized least squares; the intercept is not penalized
     (data is centred before solving, as in sklearn)."""
 
@@ -111,7 +110,7 @@ def _soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-class ElasticNet(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class ElasticNet(BaseEstimator, _LinearPredictorMixin):
     """Coordinate descent for the elastic-net objective.
 
     Minimizes ``1/(2n)||y - Xw - b||^2 + alpha*l1_ratio*||w||_1
@@ -202,7 +201,7 @@ class Lasso(ElasticNet):
         )
 
 
-class SGDRegressor(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class SGDRegressor(BaseEstimator, _LinearPredictorMixin):
     """Stochastic gradient descent on squared loss with L2 penalty.
 
     Follows sklearn's defaults: ``alpha=1e-4``, inverse-scaling learning
@@ -271,7 +270,7 @@ class SGDRegressor(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
         return self
 
 
-class HuberRegressor(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class HuberRegressor(BaseEstimator, _LinearPredictorMixin):
     """Huber loss regression, jointly optimizing coefficients and scale.
 
     Implements Owen's (2007) convex formulation used by sklearn::
@@ -346,7 +345,7 @@ class HuberRegressor(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
         return self
 
 
-class ARDRegression(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class ARDRegression(BaseEstimator, _LinearPredictorMixin):
     """Automatic Relevance Determination (sparse Bayesian) regression.
 
     Evidence maximization with one precision per weight (Tipping 2001 /
@@ -429,7 +428,7 @@ class ARDRegression(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
         return self
 
 
-class RANSACRegressor(BaseEstimator, RegressorMixin):
+class RANSACRegressor(BaseEstimator):
     """RANdom SAmple Consensus around a base linear estimator.
 
     sklearn defaults: minimal samples ``n_features + 1``, residual
@@ -518,7 +517,7 @@ def _spatial_median(points: np.ndarray, max_iter: int = 300, tol: float = 1e-9) 
     return median
 
 
-class TheilSenRegressor(BaseEstimator, RegressorMixin, _LinearPredictorMixin):
+class TheilSenRegressor(BaseEstimator, _LinearPredictorMixin):
     """Theil-Sen estimator: spatial median of least-squares fits on random
     minimal subsets (``n_features + 1`` samples each).
 

@@ -1,24 +1,14 @@
 """Regression metrics.
 
 The paper scores every model with RMSE (its Fig. 6 scatter plots RMSE on
-WiFi vs RMSE on LTE); the rest are standard companions used by our tests
-and ablations.
+WiFi vs RMSE on LTE), and RMSE is the only score anything here reports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "mean_squared_error",
-    "root_mean_squared_error",
-    "mean_absolute_error",
-    "median_absolute_error",
-    "max_error",
-    "r2_score",
-    "explained_variance_score",
-    "mean_absolute_percentage_error",
-]
+__all__ = ["mean_squared_error", "root_mean_squared_error"]
 
 
 def _validate(y_true, y_pred):
@@ -41,47 +31,3 @@ def mean_squared_error(y_true, y_pred) -> float:
 def root_mean_squared_error(y_true, y_pred) -> float:
     """RMSE — the paper's headline metric for the regressor tournament."""
     return float(np.sqrt(mean_squared_error(y_true, y_pred)))
-
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def median_absolute_error(y_true, y_pred) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.median(np.abs(y_true - y_pred)))
-
-
-def max_error(y_true, y_pred) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.max(np.abs(y_true - y_pred)))
-
-
-def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination; 1.0 is perfect, 0.0 is the mean model.
-
-    Matches sklearn's convention for a constant target: 1.0 when the
-    prediction is exact, 0.0 otherwise (rather than dividing by zero).
-    """
-    y_true, y_pred = _validate(y_true, y_pred)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
-def explained_variance_score(y_true, y_pred) -> float:
-    y_true, y_pred = _validate(y_true, y_pred)
-    var_y = float(np.var(y_true))
-    if var_y == 0.0:
-        return 1.0 if float(np.var(y_true - y_pred)) == 0.0 else 0.0
-    return 1.0 - float(np.var(y_true - y_pred)) / var_y
-
-
-def mean_absolute_percentage_error(y_true, y_pred) -> float:
-    """MAPE with sklearn's epsilon guard against division by zero."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    eps = np.finfo(np.float64).eps
-    return float(np.mean(np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), eps)))

@@ -1,66 +1,19 @@
-"""Data splitting and time-series windowing.
+"""Time-series windowing for the paper's evaluation protocol (Sec. V.B).
 
-Reproduces the paper's evaluation protocol (Sec. V.B):
-
-1. split each bandwidth trace 75/25 *proportionally in time order*
-   (``train_test_split(..., shuffle=False)``);
-2. turn each split into a lag matrix — the 10 most recent measurements
-   ``t_i .. t_{i-9}`` predict ``t_{i+1}``  (:func:`make_lag_matrix`);
-3. fit on the train matrix, report RMSE on the test matrix.
+:func:`repro.hecate.predictor.evaluate_pipeline` splits each bandwidth
+trace 75/25 in time order, then turns each split into a lag matrix — the
+10 most recent measurements ``t_i .. t_{i-9}`` predict ``t_{i+1}``
+(:func:`make_lag_matrix`) — fits on the train matrix and reports RMSE on
+the test matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .base import clone, resolve_rng
-
-__all__ = [
-    "train_test_split",
-    "make_lag_matrix",
-    "KFold",
-    "TimeSeriesSplit",
-    "cross_val_score",
-]
-
-
-def train_test_split(
-    *arrays,
-    test_size: float = 0.25,
-    shuffle: bool = True,
-    random_state=None,
-):
-    """Split arrays into train/test partitions.
-
-    With ``shuffle=False`` (the paper's setting for its 75/25 split) the
-    first ``1 - test_size`` fraction is training data, preserving time
-    order.  Returns ``train, test`` pairs for each input, flattened in
-    sklearn's order.
-    """
-    if not arrays:
-        raise ValueError("need at least one array")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError(f"test_size must be in (0, 1), got {test_size}")
-    n = len(np.asarray(arrays[0]))
-    for a in arrays[1:]:
-        if len(np.asarray(a)) != n:
-            raise ValueError("all arrays must share the first dimension")
-    n_test = max(1, int(round(n * test_size)))
-    n_train = n - n_test
-    if n_train < 1:
-        raise ValueError(f"test_size={test_size} leaves no training samples")
-    indices = np.arange(n)
-    if shuffle:
-        resolve_rng(random_state).shuffle(indices)
-    train_idx, test_idx = indices[:n_train], indices[n_train:]
-    out = []
-    for a in arrays:
-        a = np.asarray(a)
-        out.append(a[train_idx])
-        out.append(a[test_idx])
-    return tuple(out)
+__all__ = ["make_lag_matrix"]
 
 
 def make_lag_matrix(
@@ -88,67 +41,3 @@ def make_lag_matrix(
     X = s[idx]
     y = s[n_lags + horizon - 1 :][:n_rows]
     return X, y.copy()
-
-
-class KFold:
-    """K consecutive (optionally shuffled) folds."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = False, random_state=None):
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(np.asarray(X))
-        if n < self.n_splits:
-            raise ValueError(f"cannot split {n} samples into {self.n_splits} folds")
-        indices = np.arange(n)
-        if self.shuffle:
-            resolve_rng(self.random_state).shuffle(indices)
-        sizes = np.full(self.n_splits, n // self.n_splits)
-        sizes[: n % self.n_splits] += 1
-        start = 0
-        for size in sizes:
-            test = indices[start : start + size]
-            train = np.concatenate([indices[:start], indices[start + size :]])
-            yield train, test
-            start += size
-
-
-class TimeSeriesSplit:
-    """Walk-forward splits: each fold trains on the past, tests on the next block."""
-
-    def __init__(self, n_splits: int = 5):
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-
-    def split(self, X) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(np.asarray(X))
-        n_folds = self.n_splits + 1
-        if n < n_folds:
-            raise ValueError(f"cannot walk-forward split {n} samples into {self.n_splits} folds")
-        fold = n // n_folds
-        indices = np.arange(n)
-        for i in range(1, self.n_splits + 1):
-            train_end = fold * i
-            test_end = min(fold * (i + 1), n) if i < self.n_splits else n
-            yield indices[:train_end], indices[train_end:test_end]
-
-
-def cross_val_score(estimator, X, y, cv=None, scoring=None) -> np.ndarray:
-    """Fit a cloned estimator per fold and collect scores (default R^2)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    splitter = cv if cv is not None else KFold(n_splits=5)
-    scores: List[float] = []
-    for train_idx, test_idx in splitter.split(X):
-        model = clone(estimator)
-        model.fit(X[train_idx], y[train_idx])
-        if scoring is None:
-            scores.append(model.score(X[test_idx], y[test_idx]))
-        else:
-            scores.append(scoring(y[test_idx], model.predict(X[test_idx])))
-    return np.asarray(scores)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .base import (
     BaseEstimator,
-    RegressorMixin,
     check_is_fitted,
     check_X_y,
     check_array,
@@ -32,7 +31,7 @@ _ACTIVATIONS = {
 }
 
 
-class MLPRegressor(BaseEstimator, RegressorMixin):
+class MLPRegressor(BaseEstimator):
     """Multi-layer perceptron for regression (squared loss).
 
     Parameters mirror sklearn's: ``hidden_layer_sizes=(100,)``,

@@ -3,8 +3,7 @@
 The paper's pipeline (Sec. V.B) fits a ``StandardScaler`` on the training
 split of the UQ traces, transforms the test split with the *training*
 statistics, and inverse-transforms predictions back to Mbps before
-computing RMSE.  We reproduce that utility exactly, plus a MinMaxScaler
-used by ablation benches.
+computing RMSE.  We reproduce that utility exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .base import BaseEstimator, NotFittedError, check_array
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler(BaseEstimator):
@@ -66,49 +65,3 @@ class StandardScaler(BaseEstimator):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-
-class MinMaxScaler(BaseEstimator):
-    """Scale features into ``feature_range`` (default [0, 1])."""
-
-    def __init__(self, feature_range=(0.0, 1.0)):
-        lo, hi = feature_range
-        if not hi > lo:
-            raise ValueError(f"invalid feature_range {feature_range}")
-        self.feature_range = (float(lo), float(hi))
-        self.data_min_: Optional[np.ndarray] = None
-        self.data_max_: Optional[np.ndarray] = None
-        self.n_features_in_: Optional[int] = None
-
-    def fit(self, X) -> "MinMaxScaler":
-        X = check_array(X)
-        self.n_features_in_ = X.shape[1]
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        return self
-
-    def _check(self, X) -> np.ndarray:
-        if self.data_min_ is None:
-            raise NotFittedError("MinMaxScaler is not fitted")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
-        return X
-
-    def transform(self, X) -> np.ndarray:
-        X = self._check(X)
-        lo, hi = self.feature_range
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0.0, 1.0, span)
-        return lo + (X - self.data_min_) * (hi - lo) / span
-
-    def inverse_transform(self, X) -> np.ndarray:
-        X = self._check(X)
-        lo, hi = self.feature_range
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0.0, 1.0, span)
-        return self.data_min_ + (X - lo) * span / (hi - lo)
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)

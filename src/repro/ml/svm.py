@@ -23,7 +23,6 @@ from scipy import optimize
 
 from .base import (
     BaseEstimator,
-    RegressorMixin,
     check_is_fitted,
     check_X_y,
     check_array,
@@ -48,7 +47,7 @@ def _smoothed_eps_loss(r: np.ndarray, eps: float, mu: float):
     return out, grad_mag * np.sign(r)
 
 
-class SVR(BaseEstimator, RegressorMixin):
+class SVR(BaseEstimator):
     """Kernel epsilon-SVR.
 
     Parameters

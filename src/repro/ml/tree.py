@@ -1,31 +1,31 @@
-"""CART regression trees.
+"""CART regression trees, and the one tree core under every ensemble.
 
 The decision tree is the substrate under five of the paper's eighteen
 models (DTR itself plus Bagging, Random Forest, AdaBoost.R2 and Gradient
 Boosting).  Split search is vectorized per node with prefix sums over the
-sorted feature column — the textbook weighted-variance-reduction CART —
-and prediction routes all samples level-by-level with numpy masks instead
-of per-sample Python recursion.
+sorted feature column — the textbook weighted-variance-reduction CART.
 
-``fit`` is input validation followed by ``_grow``; the random forest
-validates once and calls ``_grow`` per bootstrap sample, then predicts
-from its own packed copy of the node arrays.  ``predict`` here stays the
-one-tree reference the forest's tests compare against.
+A grower (CART's ``_grow``, or HGB's histogram grower) writes nodes into
+:class:`_TreeBuffers`; ``freeze`` makes them a tree's node arrays.  The
+ensembles validate once, call ``_grow`` on each member's rows, and
+predict through :class:`_PackedTrees`: every tree end to end in one table,
+every (tree, row) pair routed together.  ``DecisionTreeRegressor.predict``
+stays the one-tree reference their tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .base import (
     BaseEstimator,
-    RegressorMixin,
+    check_array,
     check_is_fitted,
     check_X_y,
-    check_array,
     resolve_rng,
 )
 
@@ -33,10 +33,25 @@ __all__ = ["DecisionTreeRegressor"]
 
 _NO_FEATURE = -1
 
+RandomState = Union[None, int, np.random.Generator]
+MaxFeatures = Union[None, int, float, str]
+
+
+class _NodeArrays:
+    """A fitted tree's nodes: ``x[feature_] <= threshold_`` goes to
+    ``left_``, else ``right_``, until a leaf (``_NO_FEATURE``) answers its
+    ``value_``.  Unset until the tree is grown."""
+
+    feature_: np.ndarray
+    threshold_: np.ndarray
+    left_: np.ndarray
+    right_: np.ndarray
+    value_: np.ndarray
+
 
 @dataclass
 class _TreeBuffers:
-    """Growable parallel arrays describing the tree; frozen after fit."""
+    """Growable parallel node lists; ``freeze`` hands them to the tree."""
 
     feature: List[int] = field(default_factory=list)
     threshold: List[float] = field(default_factory=list)
@@ -52,15 +67,55 @@ class _TreeBuffers:
         self.value.append(0.0)
         return len(self.feature) - 1
 
+    def freeze(self, tree: _NodeArrays) -> None:
+        """Write the nodes onto ``tree`` as its ``feature_``..``value_``."""
+        tree.feature_ = np.asarray(self.feature, dtype=np.intp)
+        tree.threshold_ = np.asarray(self.threshold)
+        tree.left_ = np.asarray(self.left, dtype=np.intp)
+        tree.right_ = np.asarray(self.right, dtype=np.intp)
+        tree.value_ = np.asarray(self.value)
 
-class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
+
+class _PackedTrees:
+    """Fitted trees' node arrays end to end, child links shifted by each
+    tree's offset (a leaf's -1 is never followed, so shifting it is
+    harmless)."""
+
+    def __init__(self, trees: Sequence[_NodeArrays]) -> None:
+        sizes = np.array([len(t.feature_) for t in trees], dtype=np.intp)
+        self.roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(self.roots, sizes)
+        self.feature = np.concatenate([t.feature_ for t in trees])
+        self.threshold = np.concatenate([t.threshold_ for t in trees])
+        self.left = np.concatenate([t.left_ for t in trees]) + shift
+        self.right = np.concatenate([t.right_ for t in trees]) + shift
+        self.value = np.concatenate([t.value_ for t in trees])
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Leaf values ``(n_trees, n)``, one level per iteration for all
+        (tree, row) pairs still at a split node (``active``).  The layout
+        is ``np.stack`` of the per-tree predictions, so a reduction over
+        axis 0 adds in the same order: bit-equal."""
+        n = X.shape[0]
+        feature = self.feature
+        nodes = np.repeat(self.roots, n)
+        active = np.flatnonzero(feature[nodes] != _NO_FEATURE)
+        while active.size:
+            at = nodes[active]
+            go_left = X[active % n, feature[at]] <= self.threshold[at]
+            at = np.where(go_left, self.left[at], self.right[at])
+            nodes[active] = at
+            active = active[feature[at] != _NO_FEATURE]
+        return self.value[nodes].reshape(-1, n)
+
+
+class DecisionTreeRegressor(BaseEstimator, _NodeArrays):
     """CART with the weighted MSE criterion.
 
     Parameters mirror sklearn: ``max_depth=None`` grows until leaves are
     pure or smaller than ``min_samples_split``; ``max_features`` accepts
     ``None`` (all), an int, a float fraction, ``"sqrt"`` or ``"log2"`` and
     is what Random Forest uses for per-node feature subsampling.
-    ``sample_weight`` support is required by AdaBoost.R2.
     """
 
     def __init__(
@@ -68,9 +123,9 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         max_depth: Optional[int] = None,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features=None,
-        random_state=None,
-    ):
+        max_features: MaxFeatures = None,
+        random_state: RandomState = None,
+    ) -> None:
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
@@ -80,13 +135,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.feature_: Optional[np.ndarray] = None
-        self.threshold_: Optional[np.ndarray] = None
-        self.left_: Optional[np.ndarray] = None
-        self.right_: Optional[np.ndarray] = None
-        self.value_: Optional[np.ndarray] = None
-        self.n_features_in_: Optional[int] = None
-        self.depth_: int = 0
 
     # ------------------------------------------------------------------ fit
 
@@ -100,7 +148,9 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             return max(1, int(np.log2(p)))
         if isinstance(mf, float):
             if not 0.0 < mf <= 1.0:
-                raise ValueError(f"max_features fraction must be in (0, 1], got {mf}")
+                raise ValueError(
+                    f"max_features fraction must be in (0, 1], got {mf}"
+                )
             return max(1, int(mf * p))
         if isinstance(mf, (int, np.integer)):
             if not 1 <= mf <= p:
@@ -108,7 +158,9 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             return int(mf)
         raise ValueError(f"unsupported max_features: {mf!r}")
 
-    def _best_split(self, X, y, w, feature_ids):
+    def _best_split(
+        self, X: np.ndarray, y: np.ndarray, w: np.ndarray, ids: np.ndarray
+    ) -> Tuple[int, float, float]:
         """Return (feature, threshold, gain) for the best weighted-MSE split.
 
         For each feature, sorts the column once and evaluates every valid
@@ -124,7 +176,7 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         best_feature = _NO_FEATURE
         best_threshold = 0.0
         leaf = self.min_samples_leaf
-        for j in feature_ids:
+        for j in ids:
             order = np.argsort(X[:, j], kind="stable")
             xs = X[order, j]
             ys = y[order]
@@ -132,7 +184,8 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             cw = np.cumsum(ws)
             cwy = np.cumsum(ws * ys)
             cwy2 = np.cumsum(ws * ys * ys)
-            # split after position i-1 (left gets i samples), i in [leaf, m-leaf]
+            # split after position i-1 (left gets i samples), i in
+            # [leaf, m-leaf]
             i = np.arange(leaf, m - leaf + 1)
             if i.size == 0:
                 continue
@@ -153,7 +206,12 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 best_threshold = float((xs[i[k] - 1] + xs[i[k]]) / 2.0)
         return best_feature, best_threshold, best_gain
 
-    def fit(self, X, y, sample_weight=None) -> "DecisionTreeRegressor":
+    def fit(
+        self,
+        X: ArrayLike,
+        y: ArrayLike,
+        sample_weight: Optional[ArrayLike] = None,
+    ) -> DecisionTreeRegressor:
         X, y = check_X_y(X, y)
         n = X.shape[0]
         if sample_weight is None:
@@ -163,12 +221,16 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             if w.shape[0] != n:
                 raise ValueError("sample_weight length mismatch")
             if (w < 0).any() or w.sum() <= 0:
-                raise ValueError("sample_weight must be non-negative with positive sum")
+                raise ValueError(
+                    "sample_weight must be non-negative with positive sum"
+                )
         return self._grow(X, y, w)
 
-    def _grow(self, X, y, w) -> "DecisionTreeRegressor":
+    def _grow(
+        self, X: np.ndarray, y: np.ndarray, w: np.ndarray
+    ) -> DecisionTreeRegressor:
         """Grow on arrays the caller has already validated (``fit``, or
-        the forest, which checks once and passes bootstrap rows)."""
+        an ensemble, which checks once and passes each member's rows)."""
         n, p = X.shape
         self.n_features_in_ = p
         k_features = self._n_candidate_features(p)
@@ -180,7 +242,7 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
 
         # explicit stack avoids recursion limits on deep trees
         root = buffers.add()
-        stack = [(root, np.arange(n), 0)]
+        stack: List[Tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
         while stack:
             node, idx, depth = stack.pop()
             self.depth_ = max(self.depth_, depth)
@@ -195,7 +257,8 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 or np.all(yi == yi[0])
             ):
                 continue
-            if k_features < p:
+            feature_ids: np.ndarray
+            if rng is not None:
                 feature_ids = rng.choice(p, size=k_features, replace=False)
             else:
                 feature_ids = np.arange(p)
@@ -205,7 +268,10 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             mask = X[idx, feat] <= thresh
             left_idx = idx[mask]
             right_idx = idx[~mask]
-            if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
+            if (
+                left_idx.size < self.min_samples_leaf
+                or right_idx.size < self.min_samples_leaf
+            ):
                 continue
             buffers.feature[node] = feat
             buffers.threshold[node] = thresh
@@ -216,16 +282,12 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             stack.append((left, left_idx, depth + 1))
             stack.append((right, right_idx, depth + 1))
 
-        self.feature_ = np.asarray(buffers.feature, dtype=np.intp)
-        self.threshold_ = np.asarray(buffers.threshold)
-        self.left_ = np.asarray(buffers.left, dtype=np.intp)
-        self.right_ = np.asarray(buffers.right, dtype=np.intp)
-        self.value_ = np.asarray(buffers.value)
+        buffers.freeze(self)
         return self
 
     # -------------------------------------------------------------- predict
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X: ArrayLike) -> np.ndarray:
         check_is_fitted(self, "feature_")
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:

@@ -188,6 +188,9 @@ class ScenarioRunner:
         if self.network is not None:
             return self
         scenario = self.scenario
+        # on every backend, so a mistyped name raises even where no model
+        # is ever fitted (fluid, emulation-mock)
+        model_factory = resolve_model(scenario.policy.model)
         rng = np.random.default_rng(self.seed)
         self.network = scenario.topology.build()
         # fixed order: traffic first, then failures, so a given seed means
@@ -224,7 +227,7 @@ class ScenarioRunner:
         if self._caps.packet_level:
             self.sdn = SelfDrivingNetwork(
                 self.network,
-                model_factory=resolve_model(scenario.policy.model),
+                model_factory=model_factory,
                 telemetry_interval=scenario.policy.telemetry_interval,
                 reoptimize_every=scenario.policy.reoptimize_every,
                 reopt_threshold_mbps=scenario.policy.reopt_threshold_mbps,

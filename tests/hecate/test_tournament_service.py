@@ -88,6 +88,19 @@ class TestTournamentOptions:
         result = run_tournament(ds, entrants=["R11", "R14"])
         assert [e.paper_id for e in result.entries] == ["R11", "R14"]
 
+    def test_entrants_by_label_or_id(self):
+        ds = generate_uq_wireless()
+        mixed = run_tournament(ds, entrants=["LR", "R14"])
+        by_id = run_tournament(ds, entrants=["R11", "R14"])
+        assert [e.label for e in mixed.entries] == ["LR", "Ridge"]
+        assert mixed.entries == by_id.entries
+
+    def test_unknown_entrant_lists_the_roster(self):
+        with pytest.raises(
+            KeyError, match=r"unknown regressor 'R99'.*R13 \(RFR\)"
+        ):
+            run_tournament(generate_uq_wireless(), entrants=["R99"])
+
     def test_gpr_standard_mode_is_less_catastrophic(self):
         ds = generate_uq_wireless()
         paper_mode = run_tournament(ds, entrants=["R7"], gpr_paper_mode=True)

@@ -1,5 +1,5 @@
-"""StandardScaler/MinMaxScaler and splitting/windowing utilities —
-the exact pipeline steps of the paper's Sec. V.B protocol."""
+"""StandardScaler and lag-matrix windowing — the exact pipeline steps of
+the paper's Sec. V.B protocol."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ml import (
-    KFold,
     LinearRegression,
-    MinMaxScaler,
     NotFittedError,
     StandardScaler,
-    TimeSeriesSplit,
-    cross_val_score,
     make_lag_matrix,
-    train_test_split,
 )
 
 
@@ -69,65 +64,6 @@ class TestStandardScaler:
         assert np.allclose(back, X, rtol=1e-9, atol=1e-6)
 
 
-class TestMinMaxScaler:
-    def test_range(self):
-        X = np.array([[0.0], [5.0], [10.0]])
-        Z = MinMaxScaler().fit_transform(X)
-        assert Z.min() == 0.0 and Z.max() == 1.0
-
-    def test_custom_range_roundtrip(self):
-        X = np.array([[1.0, -3.0], [4.0, 9.0], [2.0, 0.0]])
-        scaler = MinMaxScaler(feature_range=(-1.0, 1.0))
-        back = scaler.inverse_transform(scaler.fit_transform(X))
-        assert np.allclose(back, X)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(feature_range=(1.0, 1.0))
-
-    def test_constant_feature(self):
-        Z = MinMaxScaler().fit_transform([[3.0], [3.0]])
-        assert np.all(np.isfinite(Z))
-
-
-class TestTrainTestSplit:
-    def test_paper_75_25_time_ordered(self):
-        x = np.arange(100)
-        tr, te = train_test_split(x, test_size=0.25, shuffle=False)
-        assert len(tr) == 75 and len(te) == 25
-        assert np.array_equal(tr, np.arange(75))  # strictly the earliest block
-
-    def test_multiple_arrays_stay_aligned(self):
-        X = np.arange(20).reshape(10, 2)
-        y = np.arange(10) * 7
-        Xtr, Xte, ytr, yte = train_test_split(X, y, shuffle=True, random_state=3)
-        assert np.array_equal(Xtr[:, 0] // 2 * 7, ytr)
-        assert np.array_equal(Xte[:, 0] // 2 * 7, yte)
-
-    def test_shuffled_is_permutation(self):
-        x = np.arange(30)
-        tr, te = train_test_split(x, shuffle=True, random_state=0)
-        assert sorted(np.concatenate([tr, te]).tolist()) == list(range(30))
-
-    def test_deterministic_seed(self):
-        x = np.arange(30)
-        a = train_test_split(x, shuffle=True, random_state=5)
-        b = train_test_split(x, shuffle=True, random_state=5)
-        assert np.array_equal(a[0], b[0])
-
-    def test_bad_test_size(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(10), test_size=1.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(10), np.arange(9))
-
-    def test_no_arrays(self):
-        with pytest.raises(ValueError):
-            train_test_split()
-
-
 class TestMakeLagMatrix:
     def test_window_contents(self):
         s = np.arange(10.0)
@@ -167,30 +103,3 @@ class TestMakeLagMatrix:
         model = LinearRegression().fit(X, y)
         assert np.allclose(model.predict(X), y, atol=1e-10)
 
-
-class TestFolds:
-    def test_kfold_partitions(self):
-        folds = list(KFold(n_splits=4).split(np.arange(10)))
-        assert len(folds) == 4
-        all_test = np.concatenate([te for _, te in folds])
-        assert sorted(all_test.tolist()) == list(range(10))
-        for tr, te in folds:
-            assert set(tr) & set(te) == set()
-
-    def test_kfold_validation(self):
-        with pytest.raises(ValueError):
-            KFold(n_splits=1)
-        with pytest.raises(ValueError):
-            list(KFold(n_splits=5).split(np.arange(3)))
-
-    def test_timeseries_split_is_causal(self):
-        for tr, te in TimeSeriesSplit(n_splits=3).split(np.arange(20)):
-            assert tr.max() < te.min()
-
-    def test_cross_val_score_high_on_linear(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 2))
-        y = X @ np.array([1.0, -2.0]) + 0.5
-        scores = cross_val_score(LinearRegression(), X, y)
-        assert scores.shape == (5,)
-        assert np.all(scores > 0.99)

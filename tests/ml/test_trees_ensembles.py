@@ -16,6 +16,7 @@ from repro.ml import (
     root_mean_squared_error,
 )
 from repro.ml.base import NotFittedError
+from repro.ml.ensemble import _HistTree
 
 
 def friedman_like(n=300, seed=0, noise=0.2):
@@ -274,6 +275,29 @@ def _replayed_trees(forest, X, y):
     return trees
 
 
+def _weighted_median(model, preds):
+    order = np.argsort(preds, axis=0)
+    cdf = np.cumsum(model.estimator_weights_[order], axis=0)
+    median_pos = np.argmax(cdf >= 0.5 * cdf[-1, :], axis=0)
+    cols = np.arange(preds.shape[1])
+    return preds[order[median_pos, cols], cols]
+
+
+def _staged_sum(model, preds):
+    out = np.full(preds.shape[1], model.init_)
+    for stage in preds:
+        out += model.learning_rate * stage
+    return out
+
+
+#: ensemble -> (class, its reduction over the members' predictions)
+MEMBER_REDUCTIONS = {
+    "bagging": (BaggingRegressor, lambda model, preds: preds.mean(axis=0)),
+    "adaboost": (AdaBoostRegressor, _weighted_median),
+    "gb": (GradientBoostingRegressor, _staged_sum),
+}
+
+
 class TestPackedForest:
     """The forest predicts from one packed node table; the per-tree loop
     over ``estimators_`` (``DecisionTreeRegressor.predict``, untouched)
@@ -339,6 +363,38 @@ class TestPackedForest:
         with pytest.raises(ValueError, match="expected 3 features, got 5"):
             forest.predict(X)
 
+    @given(
+        kind=st.sampled_from(sorted(MEMBER_REDUCTIONS)),
+        rows=st.integers(1, 64),
+        features=st.integers(1, 12),
+        members=st.integers(1, 20),
+        target=st.sampled_from(["smooth", "tied", "constant"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_packed_predict_equals_members_reduction(
+        self, kind, rows, features, members, target, seed
+    ):
+        """Bagging, AdaBoost and GB share the forest's packed table; each
+        must equal its own reduction over the members' ``predict``."""
+        cls, reduce = MEMBER_REDUCTIONS[kind]
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, features))
+        X[:, 0] = np.round(X[:, 0])  # tied feature values
+        if target == "constant":
+            y = np.full(rows, 87.5)
+        elif target == "tied":
+            y = np.round(X[:, 0] + X[:, -1])
+        else:
+            y = np.sin(X[:, 0]) + X[:, -1] ** 2
+        model = cls(n_estimators=members, random_state=seed).fit(X, y)
+
+        Z = np.concatenate([X, rng.normal(size=(rows, features))])
+        for query in (Z, Z[:1]):
+            preds = np.stack([m.predict(query) for m in model.estimators_])
+            reference = reduce(model, preds)
+            assert model.predict(query).tobytes() == reference.tobytes()
+
 
 def small_noise():
     """40 x 10 pure-noise regression problem (deep, irregular trees)."""
@@ -375,13 +431,52 @@ class TestForestBoundaryChecks:
         ):
             self._forest().fit(X, y[:-1])
 
-    def test_failed_fit_leaves_forest_unfitted(self):
+    def test_failed_fit_leaves_forest_unfitted(self, monkeypatch):
+        """A fit that raises assigns no fitted state, for all five
+        ensembles: ``predict`` must not answer from a partial model."""
         X, y = small_noise()
         forest = self._forest().set_params(max_features=11)
         with pytest.raises(ValueError, match="max_features must be in"):
             forest.fit(X, y)
         with pytest.raises(NotFittedError):
             forest.predict(X)
+        # used to leave estimators_ = [] behind and predict y.mean()
+        boosted = GradientBoostingRegressor(min_samples_split=1)
+        with pytest.raises(ValueError, match="min_samples_split must be"):
+            boosted.fit(X, y)
+        with pytest.raises(NotFittedError):
+            boosted.predict(X)
+
+        def second_stage_fails(grow):
+            calls = []
+
+            def failing(tree, *args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise RuntimeError("stage 2 failed")
+                return grow(tree, *args)
+
+            return failing
+
+        for model in (
+            BaggingRegressor(n_estimators=3, random_state=0),
+            RandomForestRegressor(n_estimators=3, random_state=0),
+            AdaBoostRegressor(n_estimators=3, random_state=0),
+            GradientBoostingRegressor(n_estimators=3, random_state=0),
+            HistGradientBoostingRegressor(max_iter=3),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    DecisionTreeRegressor, "_grow",
+                    second_stage_fails(DecisionTreeRegressor._grow),
+                )
+                patch.setattr(
+                    _HistTree, "fit", second_stage_fails(_HistTree.fit)
+                )
+                with pytest.raises(RuntimeError, match="stage 2 failed"):
+                    model.fit(X, y)
+            with pytest.raises(NotFittedError):
+                model.predict(X)
 
     def test_predict_rejects_unfitted(self):
         X, _ = small_noise()

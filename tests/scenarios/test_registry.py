@@ -176,6 +176,16 @@ class TestPolicySpec:
         with pytest.raises(KeyError, match="unknown model"):
             ScenarioRunner(scenario, backend="des").setup()
 
+    @pytest.mark.parametrize("backend", ["fluid", "emulation-mock"])
+    def test_unknown_model_raises_where_nothing_is_fitted(self, backend):
+        """Backends that never fit a model still reject a mistyped one
+        instead of running as if it were valid."""
+        scenario = get_scenario("line-baseline").with_overrides(
+            policy=PolicySpec(model="oracle")
+        )
+        with pytest.raises(KeyError, match="unknown model 'oracle'.*R13"):
+            ScenarioRunner(scenario, backend=backend).setup()
+
     def test_service_driver_raises_the_same_error(self):
         import dataclasses
 

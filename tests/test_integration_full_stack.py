@@ -5,8 +5,19 @@ import pytest
 
 from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
 from repro.datasets import generate_uq_wireless, load_csv
-from repro.hecate import QoSPredictor, TimeSeriesQoSPredictor, HoltLinear, run_tournament
-from repro.ml import Pipeline, StandardScaler, make_lag_matrix, make_regressor
+from repro.hecate import (
+    HoltLinear,
+    QoSPredictor,
+    TimeSeriesQoSPredictor,
+    evaluate_pipeline,
+    run_tournament,
+)
+from repro.ml import (
+    StandardScaler,
+    make_lag_matrix,
+    make_regressor,
+    root_mean_squared_error,
+)
 from repro.topologies import TUNNEL1, TUNNEL2
 
 
@@ -58,18 +69,29 @@ class TestForecasterInterchangeability:
 
 
 class TestPipelineMatchesPaperProtocol:
-    def test_pipeline_object_reproduces_manual_steps(self):
-        ds = generate_uq_wireless()
-        series = ds.lte
-        train = series[:375]
-        # manual protocol (what evaluate_pipeline does internally)
+    def test_evaluate_pipeline_reproduces_manual_steps(self):
+        """The paper's protocol done by hand (75/25 time-ordered split,
+        scaler fit on the training split only, 10 lags within each split,
+        RMSE back in Mbps) is exactly what ``evaluate_pipeline`` scores."""
+        series = generate_uq_wireless().lte
+        train, test = series[:375], series[375:]
         scaler = StandardScaler().fit(train.reshape(-1, 1))
-        scaled = scaler.transform(train.reshape(-1, 1)).ravel()
-        X, y = make_lag_matrix(scaled, 10)
-        manual = make_regressor("R14").fit(X, y).predict(X[:20])
-        # Pipeline composition on pre-windowed data
-        pipe = Pipeline([("model", make_regressor("R14"))]).fit(X, y)
-        assert np.allclose(pipe.predict(X[:20]), manual)
+
+        def scaled(part):
+            return scaler.transform(part.reshape(-1, 1)).ravel()
+
+        def mbps(values):
+            return scaler.inverse_transform(values.reshape(-1, 1)).ravel()
+
+        X, y = make_lag_matrix(scaled(train), 10)
+        X_test, y_test = make_lag_matrix(scaled(test), 10)
+        model = make_regressor("R14").fit(X, y)
+        manual = root_mean_squared_error(
+            mbps(y_test), mbps(model.predict(X_test))
+        )
+        result = evaluate_pipeline(series, make_regressor("R14"))
+        assert result.test_start_index == 375 + 10
+        assert result.rmse == manual
 
 
 class TestStressTopology:
