@@ -57,7 +57,7 @@ class PingApp:
         host.register_flow(self.flow_id, self._on_reply)
 
     def start(self, at: float = 0.0) -> "PingApp":
-        self.host.sim.schedule(at, self._tick)
+        self.host.sim.post(at, self._tick)
         return self
 
     def stop(self) -> None:
@@ -86,7 +86,7 @@ class PingApp:
         )
         self._pending[seq] = self.host.sim.now
         self.host.send_packet(packet)
-        self.host.sim.schedule(self.interval, self._tick)
+        self.host.sim.post(self.interval, self._tick)
 
     def _on_reply(self, packet: Packet) -> None:
         sent_at = self._pending.pop(packet.seq, None)
@@ -269,8 +269,8 @@ class TcpFlow:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
         self.cwnd = self.ssthresh
         self.first_tx.pop(seq, None)  # Karn: no RTT sample from retransmit
-        if self._sending or True:  # always retransmit outstanding data
-            self._transmit(seq, first=False)
+        # always retransmit outstanding data
+        self._transmit(seq, first=False)
 
     def _sender_on_ack(self, packet: Packet) -> None:
         seq = packet.ack
@@ -458,7 +458,7 @@ class UdpFlow:
             self.host.send_packet(packet)
             self.sent_packets += 1
         interval = self.packet_size * 8.0 / (self.rate_mbps * 1e6)
-        self.host.sim.schedule(self.train_packets * interval, self._tick)
+        self.host.sim.post(self.train_packets * interval, self._tick)
 
     def _on_data(self, packet: Packet) -> None:
         self.received_bytes += packet.size

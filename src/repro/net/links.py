@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Tuple
 
 from .packets import Packet
@@ -53,8 +52,10 @@ class _Direction:
     """One transmit direction: serializer + tail-drop FIFO.
 
     At most one packet is being serialised at a time, so the direction
-    holds it in ``_in_flight`` and schedules a bound method for every
-    serialisation instead of building a closure per packet."""
+    holds it in ``_in_flight`` and posts a bound method for every
+    serialisation, then the receiver's ``receive`` with the packet and
+    link as arguments for its delivery: no closure and no cancellable
+    handle per packet, since nothing ever cancels a hop."""
 
     #: the packet being serialised; meaningful while ``busy``
     _in_flight: Packet
@@ -67,15 +68,6 @@ class _Direction:
         self.busy = False
         self.stats = LinkStats()
         self.background_mbps = 0.0
-
-    def effective_rate_mbps(self) -> float:
-        """Serialization rate left to packet-level traffic after the
-        fluid background class took its share (floored at
-        :data:`MIN_EFFECTIVE_RATE_FRACTION` of the configured rate)."""
-        rate = self.link.rate_mbps
-        floor = rate * MIN_EFFECTIVE_RATE_FRACTION
-        left = rate - self.background_mbps
-        return floor if floor > left else left
 
     def send(self, packet: Packet) -> bool:
         """Enqueue for transmission; False (and a drop) when the queue is
@@ -95,23 +87,30 @@ class _Direction:
         return True
 
     def _start_next(self) -> None:
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             self.busy = False
             return
         self.busy = True
-        packet = self._in_flight = self.queue.popleft()
-        tx_time = packet.size * 8.0 / (self.effective_rate_mbps() * 1e6)
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size
-        self.sim.schedule(tx_time, self._serialised)
+        packet = self._in_flight = queue.popleft()
+        # the rate left to packet-level traffic after the fluid
+        # background class took its share, floored at
+        # MIN_EFFECTIVE_RATE_FRACTION of the configured rate
+        rate = self.link.rate_mbps
+        floor = rate * MIN_EFFECTIVE_RATE_FRACTION
+        left = rate - self.background_mbps
+        tx_time = packet.size * 8.0 / ((floor if floor > left else left) * 1e6)
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.size
+        self.sim.post(tx_time, self._serialised)
 
     def _serialised(self) -> None:
         # serialization finished: deliver this packet after the
         # propagation delay, then start the next one
         link = self.link
-        self.sim.schedule(
-            link.delay_ms / 1e3,
-            partial(self.receiver.receive, self._in_flight, link),
+        self.sim.post(
+            link.delay_ms / 1e3, self.receiver.receive, self._in_flight, link
         )
         self._start_next()
 
@@ -167,35 +166,32 @@ class Link:
 
     def stats_from(self, node: "Node") -> LinkStats:
         """Counters for the direction transmitting out of ``node``."""
-        return self._direction_from(node).stats
-
-    def _direction_from(self, node: "Node") -> _Direction:
-        if node is self.node_a:
-            return self._ab
-        if node is self.node_b:
-            return self._ba
-        raise ValueError(f"{node.name} is not attached to this link")
+        return self.direction_from(node).stats
 
     def direction_from(self, node: "Node") -> _Direction:
         """The transmit direction out of ``node``: a stable handle whose
         ``stats`` / ``queue`` / ``background_mbps`` the vectorised
         telemetry collectors read in bulk each tick (resolving the
         direction once at start instead of per sample)."""
-        return self._direction_from(node)
+        if node is self.node_a:
+            return self._ab
+        if node is self.node_b:
+            return self._ba
+        raise ValueError(f"{node.name} is not attached to this link")
 
     def set_background_from(self, node: "Node", mbps: float) -> None:
         """Set the fluid background load (Mbps) transmitting out of
         ``node``; takes effect from the next packet serialization."""
         if mbps < 0:
             raise ValueError(f"background load must be >= 0, got {mbps}")
-        self._direction_from(node).background_mbps = float(mbps)
+        self.direction_from(node).background_mbps = float(mbps)
 
     def background_from(self, node: "Node") -> float:
         """Current background load (Mbps) out of ``node``."""
-        return self._direction_from(node).background_mbps
+        return self.direction_from(node).background_mbps
 
     def queue_depth_from(self, node: "Node") -> int:
-        return len(self._direction_from(node).queue)
+        return len(self.direction_from(node).queue)
 
     def __repr__(self) -> str:
         return (

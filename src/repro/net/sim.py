@@ -10,9 +10,9 @@ Scheduler
 The queue is a **two-tier calendar**: a *near* binary heap covering the
 window ``[now, near_end)`` plus an unsorted *far* overflow bucket for
 everything at or beyond ``near_end``.  Entries are plain
-``(time, seq, event)`` tuples, so every heap comparison resolves in C on
-the leading float (and on the integer sequence only for exact-time ties)
-— the scale tier previously spent a third of its wall clock in a
+``(time, seq, fn, args)`` tuples, so every heap comparison resolves in C
+on the leading float (and on the integer sequence only for exact-time
+ties) — the scale tier previously spent a third of its wall clock in a
 Python-level ``Event.__lt__`` under ``heapq`` churn.  When the near heap
 drains, the calendar *advances*: the earliest far entries are batch-
 promoted (one linear partition + one ``heapify``, never per-event
@@ -27,15 +27,30 @@ microseconds ahead of ``now`` and never pay log-cost proportional to the
 thousands of far-future flow starts, failure injections and background
 epoch edges a scale-tier scenario schedules up front.
 
+Two entry shapes
+----------------
+Most events are never cancelled: a packet hop is two of them
+(serialisation done, then delivery), and the periodic timers in
+:mod:`repro.net.apps` and :mod:`repro.net.telemetry` discard their
+handle too.  :meth:`Simulator.post` queues ``(time, seq, fn, args)``
+with no handle at all, and the dispatcher calls ``fn(*args)``, so a hop
+builds neither an :class:`Event` nor a ``functools.partial``.  Callers
+that may cancel use :meth:`Simulator.schedule` (or ``schedule_at`` /
+``schedule_batch``), whose entry is ``(time, seq, event, None)``: an
+``args`` of ``None`` marks the third field as an :class:`Event` handle,
+skipped while cancelled and otherwise run through its ``callback``.  Both
+shapes draw from one sequence counter, so their relative order is the
+``(time, seq)`` order of issue, exactly as if every entry were a handle.
+
 One loop
 --------
 :meth:`Simulator.run` is the only dispatcher: it skips cancelled
 entries, advances the calendar, checks ``until`` and the budget and
-calls the event's callback, all in its own frame, and
-:meth:`Simulator.schedule` builds its queue entry itself.  There is no
-single-event ``step()``: a packet hop is two events, so one more Python
-frame per event on either side of the callback is a measurable share of
-every DES and hybrid run (see "What a packet hop costs" in
+makes the entry's call, all in its own frame, and
+:meth:`Simulator.post` / :meth:`Simulator.schedule` build their queue
+entries themselves.  There is no single-event ``step()``: one more
+Python frame per event on either side of the callback is a measurable
+share of every DES and hybrid run (see "What a packet hop costs" in
 docs/PERFORMANCE.md).  :meth:`Simulator.peek_time` is for callers that
 want to look at the queue without running it.  Times must
 be finite: a ``nan`` or ``inf`` entry could never be promoted out of the
@@ -68,7 +83,7 @@ import heapq
 import itertools
 import math
 import warnings
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["Event", "EventBudgetExceeded", "Simulator"]
 
@@ -121,9 +136,18 @@ class Event:
         return f"Event(time={self.time!r}, seq={self.seq}{state})"
 
 
-#: One queue entry: ``(time, seq, event)``.  ``seq`` is unique, so tuple
-#: comparison never reaches the (incomparable) event payload.
-_Entry = Tuple[float, int, Event]
+#: One queue entry: ``(time, seq, fn, args)`` from :meth:`Simulator.post`,
+#: or ``(time, seq, event, None)`` for a cancellable :class:`Event`.
+#: ``seq`` is unique, so tuple comparison never reaches the payload.
+_Entry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
+
+
+def _delay_error(delay: float) -> ValueError:
+    """What :meth:`Simulator.post` and :meth:`Simulator.schedule` raise
+    for a ``delay`` that is negative or makes the time non-finite."""
+    if delay < 0:
+        return ValueError(f"cannot schedule in the past (delay={delay})")
+    return ValueError(f"cannot schedule at a non-finite time (delay={delay})")
 
 
 class Simulator:
@@ -140,7 +164,9 @@ class Simulator:
 
     def __init__(self, near_window: float = 0.5) -> None:
         if near_window <= 0:
-            raise ValueError(f"near_window must be positive, got {near_window}")
+            raise ValueError(
+                f"near_window must be positive, got {near_window}"
+            )
         self.now: float = 0.0
         self._near: List[_Entry] = []  # heap; all times < _near_end
         self._far: List[_Entry] = []  # unsorted; all times >= _near_end
@@ -152,27 +178,34 @@ class Simulator:
         #: out; callers must surface it (a truncated run is not a result)
         self.truncated: bool = False
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` ``delay`` seconds from now (>= 0, finite).
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now (>= 0, finite).
 
-        The hot scheduling call (every packet hop makes two), so it
-        builds its queue entry itself instead of going through
-        :meth:`schedule_at`."""
+        No handle, so the call cannot be cancelled: the hot scheduling
+        call (every packet hop makes two), which queues the function and
+        its arguments as they are instead of building an :class:`Event`
+        or a closure."""
         time = self.now + delay
         if not (delay >= 0 and time < math.inf):
-            if delay < 0:
-                raise ValueError(
-                    f"cannot schedule in the past (delay={delay})"
-                )
-            raise ValueError(
-                f"cannot schedule at a non-finite time (delay={delay})"
-            )
+            raise _delay_error(delay)
+        seq = next(self._seq)
+        if time < self._near_end:
+            heapq.heappush(self._near, (time, seq, fn, args))
+        else:
+            self._far.append((time, seq, fn, args))
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+        """Run ``callback`` ``delay`` seconds from now (>= 0, finite);
+        the returned :class:`Event` cancels it."""
+        time = self.now + delay
+        if not (delay >= 0 and time < math.inf):
+            raise _delay_error(delay)
         seq = next(self._seq)
         event = Event(time, seq, callback)
         if time < self._near_end:
-            heapq.heappush(self._near, (time, seq, event))
+            heapq.heappush(self._near, (time, seq, event, None))
         else:
-            self._far.append((time, seq, event))
+            self._far.append((time, seq, event, None))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
@@ -188,9 +221,9 @@ class Simulator:
         seq = next(self._seq)
         event = Event(time, seq, callback)
         if time < self._near_end:
-            heapq.heappush(self._near, (time, seq, event))
+            heapq.heappush(self._near, (time, seq, event, None))
         else:
-            self._far.append((time, seq, event))
+            self._far.append((time, seq, event, None))
         return event
 
     def schedule_batch(
@@ -243,7 +276,7 @@ class Simulator:
         """Time of the next pending event, or None when idle."""
         near = self._near
         while True:
-            while near and near[0][2].cancelled:
+            while near and near[0][3] is None and near[0][2].cancelled:
                 heapq.heappop(near)
             if near:
                 return near[0][0]
@@ -257,7 +290,7 @@ class Simulator:
             1
             for tier in (self._near, self._far)
             for entry in tier
-            if not entry[2].cancelled
+            if entry[3] is not None or not entry[2].cancelled
         )
 
     def run(
@@ -293,10 +326,13 @@ class Simulator:
                 if until is not None:
                     self.now = max(self.now, until)
                 return
-            time, _seq, event = near[0]
-            if event.cancelled:
-                heappop(near)
-                continue
+            time, _seq, fn, args = near[0]
+            if args is None:  # a cancellable handle
+                if fn.cancelled:
+                    heappop(near)
+                    continue
+                fn = fn.callback
+                args = ()
             if time > horizon:
                 self.now = horizon
                 return
@@ -316,6 +352,6 @@ class Simulator:
             self.now = time
             self.events_processed += 1
             processed += 1
-            event.callback()
+            fn(*args)
             # a callback may have advanced the calendar (peek_time)
             near = self._near

@@ -368,7 +368,7 @@ class LinkTelemetryCollector:
         self._running = True
         if self._group is None and self.network.links:
             self._build_columns()
-        self.network.sim.schedule(at, self._sample)
+        self.network.sim.post(at, self._sample)
         return self
 
     def stop(self) -> None:
@@ -430,7 +430,7 @@ class LinkTelemetryCollector:
             self._prev_bytes = tx
             self._prev_drops = drops
             self._group.append(now, row)
-        self.network.sim.schedule(self.interval, self._sample)
+        self.network.sim.post(self.interval, self._sample)
 
 
 @dataclass
@@ -492,7 +492,7 @@ class PathTelemetryProbe:
         self._running = True
         if self._group is None:
             self._build_columns()
-        self.network.sim.schedule(at, self._sample)
+        self.network.sim.post(at, self._sample)
         return self
 
     def stop(self) -> None:
@@ -585,4 +585,4 @@ class PathTelemetryProbe:
         row[3] = obs.jitter_ms
         row[4] = obs.loss_rate
         self._group.append(now, row)
-        self.network.sim.schedule(self.interval, self._sample)
+        self.network.sim.post(self.interval, self._sample)

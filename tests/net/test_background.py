@@ -6,6 +6,7 @@ from repro.net import (
     BackgroundEpoch,
     LinkTelemetryCollector,
     Network,
+    Packet,
     TimeSeriesDB,
     UdpFlow,
     apply_background,
@@ -22,6 +23,16 @@ def two_hosts(rate=10.0):
     return net
 
 
+def arrival_time(net, size=1500):
+    """Virtual time one ``size``-byte packet from a reaches b."""
+    got = []
+    net.hosts["b"].register_flow(9, lambda p: got.append(net.sim.now))
+    net.hosts["a"].send_packet(Packet(src="a", dst="b", size=size, flow_id=9))
+    net.run(until=10.0)
+    assert len(got) == 1
+    return got[0]
+
+
 class TestLinkBackground:
     def test_background_slows_effective_serialization(self):
         net = two_hosts(rate=10.0)
@@ -32,16 +43,16 @@ class TestLinkBackground:
         assert link.background_from(node) == 6.0
         # direction b->a is independent
         assert link.background_from(net.node("b")) == 0.0
-        direction = link._direction_from(node)
-        assert direction.effective_rate_mbps() == pytest.approx(4.0)
+        # 1500 B at the 4 Mbps left = 3 ms serialization + 1 ms delay
+        assert arrival_time(net) == pytest.approx(0.004, abs=1e-9)
 
     def test_background_is_floored_not_stalling(self):
         net = two_hosts(rate=10.0)
         link = net.link("a", "b")
         node = net.node("a")
         link.set_background_from(node, 1e9)  # absurd oversubscription
-        direction = link._direction_from(node)
-        assert direction.effective_rate_mbps() == pytest.approx(0.1)
+        # floored at 1 % of 10 Mbps: 1500 B take 120 ms, plus 1 ms delay
+        assert arrival_time(net) == pytest.approx(0.121, abs=1e-9)
 
     def test_negative_background_rejected(self):
         net = two_hosts()

@@ -75,6 +75,34 @@ class TestCancellation:
         assert sim.peek_time() == 2.0
         assert sim.pending_events() == 1
 
+    def test_mixed_queue_skips_only_cancelled_handles(self):
+        # posted entries carry no handle and are always live; handles
+        # on either tier are skipped only while cancelled
+        sim = Simulator(near_window=0.5)
+        fired = []
+        first = sim.schedule(0.1, lambda: fired.append("first"))
+        sim.post(0.2, fired.append, "post-near")
+        at = sim.schedule_at(0.2, lambda: fired.append("at"))
+        batch = sim.schedule_batch(3.0, [lambda: fired.append("batch")])
+        sim.post(3.0, fired.append, "post-far")
+        first.cancel()
+        batch.cancel()
+        assert sim.pending_events() == 3
+        assert sim.peek_time() == 0.2
+        at.cancel()
+        assert sim.pending_events() == 2
+        assert sim.peek_time() == 0.2
+        sim.run(until=1.0)
+        assert fired == ["post-near"]
+        # the far tier holds a cancelled batch ahead of a live post
+        assert sim.pending_events() == 1
+        assert sim.peek_time() == 3.0
+        sim.run()
+        assert fired == ["post-near", "post-far"]
+        assert sim.events_processed == 2
+        assert sim.pending_events() == 0
+        assert sim.peek_time() is None
+
 
 class TestRunBoundaries:
     def test_until_is_inclusive_of_events_at_until(self):
@@ -147,9 +175,63 @@ class TestRunBoundaries:
             sim.schedule_at(when, lambda: None)
         with pytest.raises(ValueError):
             sim.schedule_batch(when, [lambda: None])
+        with pytest.raises(ValueError):
+            sim.post(when, print, "never")
         assert sim.pending_events() == 0
         sim.run(until=1.0)
         assert sim.now == 1.0
+
+
+class TestPost:
+    def test_post_calls_with_its_arguments(self):
+        sim = Simulator()
+        calls = []
+        sim.post(1.0, lambda: calls.append(()))
+        sim.post(1.0, calls.append, ("one",))
+        sim.post(1.0, lambda a, b: calls.append((a, b)), "x", 2)
+        sim.run()
+        assert calls == [(), ("one",), ("x", 2)]
+        assert sim.now == 1.0
+        assert sim.events_processed == 3
+
+    def test_post_ties_break_fifo_with_handles(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append("s0"))
+        sim.post(1.0, log.append, "p1")
+        sim.schedule_at(1.0, lambda: log.append("a2"))
+        sim.post(1.0, log.append, "p3")
+        sim.run()
+        assert log == ["s0", "p1", "a2", "p3"]
+
+    @pytest.mark.parametrize(
+        "delay, message",
+        [
+            (-1.0, r"cannot schedule in the past \(delay=-1.0\)"),
+            (-math.inf, r"cannot schedule in the past \(delay=-inf\)"),
+            (math.nan, r"non-finite time \(delay=nan\)"),
+            (math.inf, r"non-finite time \(delay=inf\)"),
+        ],
+    )
+    def test_post_rejects_what_schedule_rejects(self, delay, message):
+        sim = Simulator()
+        for call in (
+            lambda: sim.schedule(delay, lambda: None),
+            lambda: sim.post(delay, print, "never"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert sim.pending_events() == 0
+
+    def test_post_counts_against_the_budget(self):
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.post(float(i), fired.append, i)
+        with pytest.raises(EventBudgetExceeded):
+            sim.run(max_events=2)
+        assert fired == [0, 1]
+        assert sim.pending_events() == 1
 
 
 class TestScheduleBatch:
@@ -207,6 +289,10 @@ class TestCalendarQueueEquivalence:
         return [key for _, _, key, _ in sorted(live, key=lambda e: e[1])]
 
     def test_100k_schedule_cancel_batch_round_trip(self):
+        """Handles (``schedule``, ``schedule_at``, ``schedule_batch``)
+        and handle-free ``post`` entries with 0, 1 and 2 arguments share
+        one queue and one sequence counter; ~5 % of handles are
+        cancelled."""
         import random
 
         rng = random.Random(1234)
@@ -214,6 +300,10 @@ class TestCalendarQueueEquivalence:
         log = []
         entries = []  # (issue_seq, time, key, cancelled)
         handles = []
+
+        def record(prefix, n):
+            log.append(f"{prefix}.{n}")
+
         seq = 0
         n = 100_000
         while seq < n:
@@ -227,7 +317,8 @@ class TestCalendarQueueEquivalence:
                 time = rng.uniform(0.0, 20.0)
                 if roll < 0.30:
                     time = round(time, 1)  # duplicate-rich
-            if roll < 0.10 and seq + 3 < n:
+            kind = rng.random()
+            if kind < 0.10 and seq + 3 < n:
                 keys = [f"b{seq}.{j}" for j in range(3)]
                 event = sim.schedule_batch(
                     time, [lambda k=k: log.append(k) for k in keys]
@@ -235,27 +326,42 @@ class TestCalendarQueueEquivalence:
                 entries.append((seq, time, keys, False))
                 handles.append((len(entries) - 1, event))
                 seq += 3
-            else:
-                key = f"e{seq}"
+                continue
+            key = f"e{seq}"
+            if kind < 0.35:
                 event = sim.schedule(time, lambda k=key: log.append(k))
-                entries.append((seq, time, [key], False))
+            elif kind < 0.50:
+                event = sim.schedule_at(time, lambda k=key: log.append(k))
+            else:
+                event = None
+                if kind < 0.65:
+                    sim.post(time, lambda k=key: log.append(k))
+                elif kind < 0.80:
+                    sim.post(time, log.append, key)
+                else:
+                    sim.post(time, record, "e", seq)
+                    key = f"e.{seq}"
+            entries.append((seq, time, [key], False))
+            if event is not None:
                 handles.append((len(entries) - 1, event))
-                seq += 1
-        # cancel ~5% after the fact, spread across the whole horizon
+            seq += 1
+        # cancel ~5% of the handles after the fact, spread across the
+        # whole horizon
         for idx, event in handles:
             if rng.random() < 0.05:
                 event.cancel()
                 entry = entries[idx]
                 entries[idx] = (entry[0], entry[1], entry[2], True)
+        live = sum(not cancelled for *_, cancelled in entries)
+        assert sim.pending_events() == live
         sim.run()
         expected = [
             key
-            for keys in self._reference_order(
-                [(s, t, ks, c) for s, t, ks, c in entries]
-            )
+            for keys in self._reference_order(entries)
             for key in keys
         ]
         assert log == expected
+        assert sim.events_processed == live
 
     def test_nested_scheduling_across_the_window_boundary(self):
         # a callback running in window [0, 0.5) schedules into the far
