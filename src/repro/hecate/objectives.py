@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import ne
 from typing import (
     Callable,
     Dict,
@@ -267,13 +268,16 @@ def assign_flows(
 
     Scoring an assignment does not mean solving it.  Flows of one call
     differ only by name, so the fluid model is solved once per distinct
-    vector of per-tunnel flow counts — with the full named flow list, so
-    a missing capacity raises where it always did — and every other
-    assignment with those counts reads the per-tunnel rates back.  With
-    ``n`` flows on ``k`` tunnels that bounds the exhaustive branch by
-    the ``C(n+k-1, k-1)`` compositions rather than ``k^n`` (six flows:
-    84 solves for 4 tunnels, not 4 096; 462 for 6, not 46 656), and the
+    vector of per-tunnel flow counts, and every other assignment with
+    those counts reads the per-tunnel rates back.  With ``n`` flows on
+    ``k`` tunnels that bounds the exhaustive branch by the
+    ``C(n+k-1, k-1)`` compositions rather than ``k^n`` (six flows: 84
+    solves for 4 tunnels, not 4 096; 462 for 6, not 46 656), and the
     greedy pass by ``n * (k - 1) + 1``, most of which repeat as well.
+    A solve sees one claimant per used tunnel, not one flow per flow:
+    the ``m`` flows on a tunnel become one flow crossing its path ``m``
+    times, which both fills charge exactly as they charge the ``m``
+    flows, so each flow's rate is its claimant's, bit for bit.
     """
     flows = sorted(current)
     tunnels = sorted(tunnel_paths)
@@ -289,59 +293,78 @@ def assign_flows(
 
     # flows differ only by name, so a solve depends only on how many sit
     # on each tunnel: per-tunnel rates, memoised on that count vector
+    slot = {tunnel: i for i, tunnel in enumerate(tunnels)}
     solved: Dict[Tuple[int, ...], Dict[str, float]] = {}
 
     def score(
-        assignment: Dict[str, str],
-    ) -> Tuple[Tuple[float, float, int], Dict[str, float], int]:
-        on = [assignment[f] for f in flows]
-        counts = tuple(map(on.count, tunnels))
+        on: Sequence[str], counts: Tuple[int, ...], migrations: int
+    ) -> Tuple[float, float, int]:
+        """The key of the flows-ordered tunnel list ``on``, whose
+        per-tunnel tallies are ``counts``."""
         tunnel_rate = solved.get(counts)
         if tunnel_rate is None:
-            fluid = [
-                FluidFlow.from_path(f, tunnel_paths[t])
-                for f, t in zip(flows, on)
-            ]
-            named = max_min_fair(fluid, capacities)
-            tunnel_rate = {t: named[f] for f, t in zip(flows, on)}
-            solved[counts] = tunnel_rate
-        rates = {f: tunnel_rate[t] for f, t in zip(flows, on)}
-        migrations = sum(1 for f in flows if assignment[f] != current[f])
-        return (
-            # must stay the builtin sum over the flows-ordered rates:
-            # the score is lexicographic on this float, and neither a
-            # hand-written += loop (Python 3.12's sum is compensated)
-            # nor count x rate per tunnel rounds the same way
-            total_throughput(rates),
-            min(rates.values()),
-            -migrations,
-        ), rates, migrations
+            # one claimant per used tunnel, in first-use order, crossing
+            # the path once per flow on it.  Exact because both fills
+            # charge a link once per traversal with integer usage sums,
+            # and a claimant gains each round's increment once, as every
+            # member would.  Not max_min_fair(weights=): scaling the
+            # increment by the count rounds differently.  Every claimant
+            # is built before the solve, so a short path still raises
+            # before a missing capacity, and the first missing link met
+            # is the one the per-flow list met first.
+            claimants: List[FluidFlow] = []
+            for t in dict.fromkeys(on):
+                links = FluidFlow.from_path(t, tunnel_paths[t]).links
+                claimants.append(FluidFlow(t, links * counts[slot[t]]))
+            tunnel_rate = solved[counts] = max_min_fair(claimants, capacities)
+        per_flow = [tunnel_rate[t] for t in on]
+        # must stay the builtin sum over the flows-ordered rates: the
+        # score is lexicographic on this float, and neither a
+        # hand-written += loop (Python 3.12's sum is compensated) nor
+        # count x rate per tunnel rounds the same way
+        return sum(per_flow), min(per_flow), -migrations
 
+    start = [current[f] for f in flows]
+    chosen: Sequence[str] = start
     if len(flows) <= max_enumerate:
-        best = None
+        best_key = None
         for combo in product(tunnels, repeat=len(flows)):
-            assignment = dict(zip(flows, combo))
-            key, rates, migrations = score(assignment)
-            if best is None or key > best[0]:
-                best = (key, assignment, rates, migrations)
-        assert best is not None  # flows and tunnels are non-empty
-        _, assignment, rates, migrations = best
+            key = score(
+                combo,
+                tuple(map(combo.count, tunnels)),
+                sum(map(ne, combo, start)),
+            )
+            if best_key is None or key > best_key:
+                best_key, chosen = key, combo
+        order = flows
     else:
-        # greedy: move one flow at a time to its best tunnel, re-scoring
-        assignment = dict(current)
-        for f in flows:
-            best_key, best_tunnel = None, assignment[f]
-            for tunnel in tunnels:
-                trial = dict(assignment)
-                trial[f] = tunnel
-                key, _, _ = score(trial)
+        # greedy: move one flow at a time to its best tunnel, re-scoring;
+        # a trial re-points one slot of ``moved`` and two tallies in place
+        moved = list(start)
+        tally = [0] * len(tunnels)
+        for t in moved:
+            tally[slot[t]] += 1
+        migrations = 0
+        for i, home in enumerate(start):
+            tally[slot[home]] -= 1
+            best_key, best_tunnel = None, home
+            for j, tunnel in enumerate(tunnels):
+                moved[i] = tunnel
+                tally[j] += 1
+                key = score(moved, tuple(tally), migrations + (tunnel != home))
+                tally[j] -= 1
                 if best_key is None or key > best_key:
                     best_key, best_tunnel = key, tunnel
-            assignment[f] = best_tunnel
-        _, rates, migrations = score(assignment)
+            moved[i] = best_tunnel
+            tally[slot[best_tunnel]] += 1
+            migrations += best_tunnel != home
+        chosen, order = moved, list(current)
+    tunnel_rate = solved[tuple(map(chosen.count, tunnels))]
+    assignment = dict(zip(flows, chosen))
+    rates = {f: tunnel_rate[t] for f, t in zip(flows, chosen)}
     return AssignmentResult(
-        assignment=assignment,
+        assignment={f: assignment[f] for f in order},
         rates=rates,
         total_mbps=total_throughput(rates),
-        migrations=migrations,
+        migrations=sum(map(ne, chosen, start)),
     )

@@ -36,6 +36,13 @@ def _known_backend_names() -> tuple:
     return backend_names()
 
 
+def _not_an_object(field_name: str, value: Any) -> TypeError:
+    return TypeError(
+        f"result field {field_name!r} must be an object, "
+        f"got {type(value).__name__}"
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Uniform cross-scenario, cross-backend metrics of one run."""
@@ -145,7 +152,9 @@ class ScenarioResult:
         The ``backend`` field must name a *registered* execution
         backend: an artifact written by a build with extra backends (or
         a corrupted one) raises ``ValueError`` here instead of flowing
-        an unknown label into sweep comparison tables."""
+        an unknown label into sweep comparison tables.  A
+        ``per_flow_mbps`` or ``qoe_per_class`` that is not an object
+        raises ``TypeError`` naming the field."""
         source = dict(payload)
         source.setdefault("sim_events", 0)
         source.setdefault("telemetry_samples", 0)
@@ -166,13 +175,17 @@ class ScenarioResult:
             name: coerce(source[name])
             for name, coerce in cls._FIELD_TYPES.items()
         }
+        per_flow = source["per_flow_mbps"]
+        if not isinstance(per_flow, Mapping):
+            raise _not_an_object("per_flow_mbps", per_flow)
+        qoe = source["qoe_per_class"]
+        if not isinstance(qoe, Mapping):
+            raise _not_an_object("qoe_per_class", qoe)
         kwargs["per_flow_mbps"] = {
-            str(name): float(rate)
-            for name, rate in payload["per_flow_mbps"].items()
+            str(name): float(rate) for name, rate in per_flow.items()
         }
         kwargs["qoe_per_class"] = {
-            str(name): float(mos)
-            for name, mos in source["qoe_per_class"].items()
+            str(name): float(mos) for name, mos in qoe.items()
         }
         return cls(**kwargs)
 

@@ -45,8 +45,9 @@ most of it the reference) run with
 
     PYTHONPATH=src python tests/hecate/test_assign_flows_equivalence.py
 
-which is what the weekly ``perf-ledger`` CI job does.  To re-capture the
-corpus after an intentional change of its sources (≈20 s):
+which is what the weekly ``perf-ledger`` CI job and the Python 3.12
+tier-1 job do.  To re-capture the corpus after an intentional change
+of its sources (≈20 s):
 
     PYTHONPATH=src python tests/hecate/test_assign_flows_equivalence.py \\
         --capture > tests/hecate/data/assign_flows_corpus.json
@@ -402,14 +403,15 @@ def _shared_uplink_instance(n_flows, n_tunnels, max_enumerate=6):
 
 
 def _count_solves(monkeypatch):
-    sizes = []
+    """Record the claimant list of every solve ``assign_flows`` makes."""
+    solves = []
 
     def counting(flows, capacities):
-        sizes.append(len(flows))
+        solves.append(list(flows))
         return max_min_fair(flows, capacities)
 
     monkeypatch.setattr(repro.hecate.objectives, "max_min_fair", counting)
-    return sizes
+    return solves
 
 
 @pytest.mark.parametrize("n_tunnels, compositions", [(4, 84), (6, 462)])
@@ -418,13 +420,27 @@ def test_exhaustive_branch_solves_once_per_composition(
 ):
     """Six flows in one re-optimisation tick used to cost 4**6 = 4 096
     and 6**6 = 46 656 solves; the count-vector memo bounds them by the
-    compositions of six flows over the tunnels, for the same bytes."""
+    compositions of six flows over the tunnels, for the same bytes.
+    Each solve sees one claimant per used tunnel, crossing its path once
+    per flow on it."""
     solves = _count_solves(monkeypatch)
     instance = _shared_uplink_instance(6, n_tunnels)
+    tunnel_paths = instance[2]
     got = outcome(assign_flows, instance)
     assert comb(6 + n_tunnels - 1, n_tunnels - 1) == compositions
     assert 0 < len(solves) <= compositions
-    assert set(solves) == {6}  # every solve sees the full named flow list
+    for claimants in solves:
+        names = [claimant.name for claimant in claimants]
+        assert len(set(names)) == len(names)
+        total = 0
+        for claimant in claimants:
+            path = tunnel_paths[claimant.name]
+            links = tuple(zip(path[:-1], path[1:]))
+            m, rest = divmod(len(claimant.links), len(links))
+            assert rest == 0 and m >= 1
+            assert claimant.links == links * m
+            total += m
+        assert total == 6
     assert got == outcome(reference_assign_flows, instance)
     assert got[4] > 0  # it had something to decide
 
@@ -441,7 +457,8 @@ def test_missing_capacity_raises_from_the_first_solve_that_meets_it(
     monkeypatch,
 ):
     """The first solve of a count vector goes through ``max_min_fair``
-    with named flows, so its ``KeyError`` fires where it did before."""
+    with every used tunnel's claimant, so its ``KeyError`` fires where
+    it did before, naming the same link."""
     for n_flows in (3, 9):
         instance = _shared_uplink_instance(n_flows, 3)
         del instance[3][("up", "m2")]

@@ -1,5 +1,8 @@
 """Vectorized max-min solver vs the scalar oracle, directed capacities,
-and the relative-epsilon saturation fix."""
+the relative-epsilon saturation fix, and the repeated-path claimant
+``assign_flows`` solves in place of a tunnel's flows."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.fluid import (
+    _VECTOR_MIN_FLOWS,
     FluidFlow,
     link_capacities,
     max_min_fair,
@@ -108,6 +112,95 @@ class TestVectorizedMatchesScalar:
         flows, caps = random_case(11)
         rates = max_min_fair(flows, caps, method=method)
         assert list(rates) == [flow.name for flow in flows]
+
+
+def grouped_case(seed):
+    """1-5 tunnels over a few nodes, each carrying 1-40 identical member
+    flows: ``(paths, counts, capacities, members)``.
+
+    Paths are random walks, so many revisit a node (looped paths, and
+    under undirected keys a path charging one entry both ways).  The
+    seed picks directed, undirected or tie-heavy capacities; members
+    come back shuffled, as ``assign_flows`` interleaves tunnels."""
+    rng = np.random.default_rng(seed)
+    nodes = [f"n{i}" for i in range(int(rng.integers(3, 8)))]
+    paths = {}
+    for t in range(int(rng.integers(1, 6))):
+        path = [nodes[int(rng.integers(len(nodes)))]]
+        for _ in range(int(rng.integers(1, 6))):
+            hop = nodes[int(rng.integers(len(nodes) - 1))]
+            path.append(hop if hop != path[-1] else nodes[-1])
+        paths[f"T{t}"] = tuple(path)
+    counts = {t: int(rng.integers(1, 41)) for t in paths}
+    style = ("directed", "undirected", "ties")[seed % 3]
+    caps = {}
+    for path in paths.values():
+        for link in zip(path[:-1], path[1:]):
+            key = tuple(sorted(link)) if style == "undirected" else link
+            if key not in caps:
+                caps[key] = (
+                    float(rng.choice((10.0, 40.0, 100.0)))
+                    if style == "ties"
+                    else float(rng.uniform(1.0, 1000.0))
+                )
+    members = [
+        FluidFlow.from_path(f"{t}#{i}", path)
+        for t, path in paths.items()
+        for i in range(counts[t])
+    ]
+    members = [members[i] for i in rng.permutation(len(members))]
+    return paths, counts, caps, members
+
+
+def claimants(paths, counts):
+    """One flow per tunnel, crossing its path once per member."""
+    return [
+        FluidFlow(t, FluidFlow.from_path(t, path).links * counts[t])
+        for t, path in paths.items()
+    ]
+
+
+class TestRepeatedPathClaimant:
+    """``m`` flows on one path get exactly the rate of one flow crossing
+    that path ``m`` times: both fills charge a link once per traversal
+    with integer usage sums, and a flow gains each round's increment
+    once, as every member does.  ``assign_flows`` relies on this to
+    solve one claimant per used tunnel."""
+
+    @pytest.mark.parametrize("method", ["scalar", "vector", "auto"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_members_get_the_claimant_rate(self, method, seed):
+        paths, counts, caps, members = grouped_case(seed)
+        per_member = max_min_fair(members, caps, method=method)
+        grouped = max_min_fair(claimants(paths, counts), caps, method=method)
+        assert [rate.hex() for rate in per_member.values()] == [
+            grouped[flow.name.split("#")[0]].hex() for flow in members
+        ]
+
+    def test_cases_cross_the_vector_threshold(self):
+        """``auto`` solves the members and the claimants with different
+        fills on some cases, so the property covers that pairing."""
+        sizes = {len(grouped_case(seed)[3]) for seed in range(30)}
+        assert min(sizes) < _VECTOR_MIN_FLOWS <= max(sizes)
+
+    def test_weighted_claimant_is_not_the_same(self):
+        """The weighted form (one claimant at weight ``m``, its rate
+        divided by ``m``) scales each increment by ``m`` and rounds
+        differently; on this instance it is one ulp off, so it cannot
+        stand in for the repeated path."""
+        paths, counts, caps, members = grouped_case(0)
+        per_member = max_min_fair(members, caps)
+        grouped = max_min_fair(claimants(paths, counts), caps)
+        weighted = max_min_fair(
+            [FluidFlow.from_path(t, path) for t, path in paths.items()],
+            caps,
+            weights=counts,
+        )
+        member = per_member["T1#0"]
+        assert counts["T1"] == 27
+        assert grouped["T1"].hex() == member.hex()
+        assert weighted["T1"] / 27 - member == math.ulp(member)
 
 
 class TestDirectedCapacities:

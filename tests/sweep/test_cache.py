@@ -2,10 +2,13 @@
 
 import json
 
-from repro.scenarios import ScenarioRunner, get_scenario
+import pytest
+
+from repro.scenarios import ScenarioResult, ScenarioRunner, get_scenario
 from repro.sweep import (
     ResultCache,
     RunSpec,
+    SweepEngine,
     SweepSpec,
     run_key,
     scenario_fingerprint,
@@ -91,6 +94,40 @@ class TestResultCache:
         del artifact["result"]["per_flow_mbps"]
         path.write_text(json.dumps(artifact))
         assert cache.get(run) is None
+
+    @pytest.mark.parametrize("field", ["per_flow_mbps", "qoe_per_class"])
+    @pytest.mark.parametrize("garbage", [[], None, "x", 3])
+    def test_non_object_field_is_a_miss(self, tmp_path, field, garbage):
+        """Valid JSON that is not an object where a mapping belongs once
+        escaped ``get`` as an ``AttributeError`` and killed the sweep."""
+        cache = ResultCache(tmp_path)
+        run = _cell(name="ring-uniform", horizon=8.0, warmup=2.0)
+        path = cache.put(run, self._result(run))
+        artifact = json.loads(path.read_text())
+        artifact["result"][field] = garbage
+        with pytest.raises(TypeError, match=field):
+            ScenarioResult.from_dict(artifact["result"])
+        path.write_text(json.dumps(artifact))
+        assert cache.get(run) is None
+        assert cache.stats.misses == 1
+
+    def test_engine_overwrites_a_garbled_artifact(self, tmp_path):
+        spec = SweepSpec(
+            scenarios=("ring-uniform",),
+            seeds=(0,),
+            backends=("fluid",),
+            overrides={"horizon": 8.0, "warmup": 2.0},
+        )
+        (run,) = spec.expand()
+        first = SweepEngine(spec, cache=ResultCache(tmp_path)).run()
+        path = ResultCache(tmp_path).path(run)
+        artifact = json.loads(path.read_text())
+        artifact["result"]["per_flow_mbps"] = []
+        path.write_text(json.dumps(artifact))
+        again = SweepEngine(spec, cache=ResultCache(tmp_path)).run()
+        assert (again.cache_hits, again.executed) == (0, 1)
+        assert again.results == first.results
+        assert ResultCache(tmp_path).get(run) == first.results[0]
 
     def test_hit_rate(self, tmp_path):
         cache = ResultCache(tmp_path)
