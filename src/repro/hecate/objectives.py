@@ -295,6 +295,16 @@ def assign_flows(
     # on each tunnel: per-tunnel rates, memoised on that count vector
     slot = {tunnel: i for i, tunnel in enumerate(tunnels)}
     solved: Dict[Tuple[int, ...], Dict[str, float]] = {}
+    # each tunnel's links, built on first use: a short path raises where
+    # the per-solve build raised, before any capacity is looked up
+    tunnel_links: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+
+    def links_of(tunnel: str) -> Tuple[Tuple[str, str], ...]:
+        links = tunnel_links.get(tunnel)
+        if links is None:
+            links = FluidFlow.from_path(tunnel, tunnel_paths[tunnel]).links
+            tunnel_links[tunnel] = links
+        return links
 
     def score(
         on: Sequence[str], counts: Tuple[int, ...], migrations: int
@@ -312,17 +322,22 @@ def assign_flows(
             # is built before the solve, so a short path still raises
             # before a missing capacity, and the first missing link met
             # is the one the per-flow list met first.
-            claimants: List[FluidFlow] = []
-            for t in dict.fromkeys(on):
-                links = FluidFlow.from_path(t, tunnel_paths[t]).links
-                claimants.append(FluidFlow(t, links * counts[slot[t]]))
+            claimants = [
+                FluidFlow(t, links_of(t) * counts[slot[t]])
+                for t in dict.fromkeys(on)
+            ]
             tunnel_rate = solved[counts] = max_min_fair(claimants, capacities)
-        per_flow = [tunnel_rate[t] for t in on]
         # must stay the builtin sum over the flows-ordered rates: the
         # score is lexicographic on this float, and neither a
         # hand-written += loop (Python 3.12's sum is compensated) nor
-        # count x rate per tunnel rounds the same way
-        return sum(per_flow), min(per_flow), -migrations
+        # count x rate per tunnel rounds the same way.  The claimants
+        # are exactly the tunnels in ``on``, so the minimum over the
+        # solve is the minimum over the flows.
+        return (
+            sum(map(tunnel_rate.__getitem__, on)),
+            min(tunnel_rate.values()),
+            -migrations,
+        )
 
     start = [current[f] for f in flows]
     chosen: Sequence[str] = start

@@ -95,22 +95,32 @@ def _canonicalize(
     capacity map gives each direction its own budget while an undirected
     one (legacy) shares a single entry between both directions.  Returns
     ``(flow name -> canonical keys, key -> capacity)`` restricted to the
-    links some flow actually crosses.
+    links some flow actually crosses.  Each distinct link is resolved
+    once per call, however many flows (or traversals of one claimant)
+    cross it.  Raises ``KeyError`` for the first link met with no
+    capacity in either direction and ``ValueError`` for a NaN capacity
+    or a duplicate flow name.
     """
     flow_links: Dict[str, List[Tuple[str, str]]] = {}
     caps: Dict[Tuple[str, str], float] = {}
+    key_of: Dict[Tuple[str, str], Tuple[str, str]] = {}
     for flow in flows:
         canon = []
         for link in flow.links:
-            if link in capacities:
-                key = link
-            else:
-                rev = (link[1], link[0])
-                if rev not in capacities:
-                    raise KeyError(f"no capacity declared for link {link}")
-                key = rev
+            key = key_of.get(link)
+            if key is None:
+                if link in capacities:
+                    key = link
+                else:
+                    key = (link[1], link[0])
+                    if key not in capacities:
+                        raise KeyError(f"no capacity declared for link {link}")
+                key_of[link] = key
+                if key not in caps:
+                    cap = caps[key] = float(capacities[key])
+                    if cap != cap:
+                        raise ValueError(f"capacity of link {key} is NaN")
             canon.append(key)
-            caps.setdefault(key, float(capacities[key]))
         if flow.name in flow_links:
             raise ValueError(f"duplicate flow name {flow.name!r}")
         flow_links[flow.name] = canon
@@ -189,10 +199,16 @@ def _fill_vector(
     names = list(flow_links)
     keys = list(caps)
     key_index = {key: i for i, key in enumerate(keys)}
-    incidence = np.zeros((len(keys), len(names)))
-    for j, name in enumerate(names):
-        for key in flow_links[name]:
-            incidence[key_index[key], j] += 1.0
+    # one count per traversal, tallied by bincount over flat (link, flow)
+    # cells: integer counts, so the same matrix as adding 1.0 per
+    # occurrence
+    n = len(names)
+    rows = [key_index[key] for name in names for key in flow_links[name]]
+    cols = np.repeat(np.arange(n), [len(flow_links[name]) for name in names])
+    counts = np.bincount(
+        np.array(rows, dtype=np.intp) * n + cols, minlength=len(keys) * n
+    )
+    incidence = counts.reshape(len(keys), n).astype(float)
     if weights is None:
         weight = np.ones(len(names))
     else:
@@ -236,7 +252,8 @@ def max_min_fair(
     crossing saturated links freeze, remaining capacity is recomputed,
     and the process repeats.  Raises ``KeyError`` if a flow crosses a
     link not present in ``capacities`` (directed lookup with reversed
-    fallback).
+    fallback) and ``ValueError`` if a crossed link's capacity is NaN,
+    which would otherwise turn every rate into NaN.
 
     ``method`` selects the implementation: ``"vector"`` (numpy incidence
     matrix), ``"scalar"`` (reference dicts), or ``"auto"`` (vectorized
@@ -293,16 +310,27 @@ def max_min_fair_bounded(
     the summed offered load of its CBR members.  Zero-weight entries are
     reported at 0.0 and never claim capacity; returned rates are per
     *entry* (an aggregate's rate is the whole class's Mbps).
+
+    A negative or NaN bound raises ``ValueError`` naming the entry: pinned
+    at it, the entry would hand capacity back to its links (or never be
+    pinned at all).  A NaN capacity raises too (see
+    :func:`max_min_fair`); a negative one means no headroom, as in the
+    fills.
     """
+    pending = {
+        name: FluidFlow.from_path(name, path)
+        for name, path in flow_paths.items()
+    }
+    for name in pending:
+        bound = bounds.get(name)
+        if bound is not None and not bound >= 0.0:
+            raise ValueError(
+                f"rate bound of flow {name!r} must be >= 0, got {bound!r}"
+            )
     rates: Dict[str, float] = {}
-    pending = {name: tuple(path) for name, path in flow_paths.items()}
     remaining = dict(capacities)
     while pending:
-        fair = max_min_fair(
-            [FluidFlow.from_path(n, p) for n, p in pending.items()],
-            remaining,
-            weights=weights,
-        )
+        fair = max_min_fair(list(pending.values()), remaining, weights=weights)
         capped = {
             name for name, rate in fair.items()
             if name in bounds and rate > bounds[name]
@@ -313,13 +341,11 @@ def max_min_fair_bounded(
         for name in sorted(capped):
             rate = bounds[name]
             rates[name] = rate
-            path = pending[name]
-            for hop in zip(path[:-1], path[1:]):
+            for hop in pending.pop(name).links:
                 # directed lookup, reversed fallback — the same key
                 # resolution max_min_fair applies
                 key = hop if hop in remaining else (hop[1], hop[0])
                 remaining[key] = max(0.0, remaining[key] - rate)
-            del pending[name]
     return rates
 
 

@@ -123,10 +123,16 @@ class Network:
         return self
 
     def _rebuild_fibs(self) -> None:
-        healthy = nx.subgraph_view(
-            self.graph,
-            filter_edge=lambda a, b: not self.graph[a][b].get("failed", False),
-        )
+        healthy: nx.Graph = self.graph
+        if any(failed for _, _, failed in healthy.edges(data="failed")):
+            # the filtered view keeps the graph's neighbour order, so
+            # with nothing to filter both yield the same FIBs
+            healthy = nx.subgraph_view(
+                self.graph,
+                filter_edge=lambda a, b: not self.graph[a][b].get(
+                    "failed", False
+                ),
+            )
         for rname, router in self.routers.items():
             router.fib.clear()
             for hname in self.hosts:

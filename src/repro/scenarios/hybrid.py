@@ -403,6 +403,23 @@ def solve_epochs(
         frozenset(tuple(sorted(hop)) for hop in zip(path[:-1], path[1:]))
         for path in class_paths
     ]
+    # spans as arrays, so each epoch's overlap test is two elementwise
+    # IEEE ops (the same doubles as scalar min/max/-), in spans order
+    names = list(spans)
+    starts = np.array([span[0] for span in spans.values()], dtype=float)
+    ends = np.array([span[1] for span in spans.values()], dtype=float)
+    # undirected hop sets, built on first use while some link is down
+    hop_sets: Dict[str, Set[Tuple[str, ...]]] = {}
+
+    def crosses_failed(name: str) -> bool:
+        hops = hop_sets.get(name)
+        if hops is None:
+            path = paths[name]
+            hops = hop_sets[name] = {
+                tuple(sorted(hop)) for hop in zip(path[:-1], path[1:])
+            }
+        return not hops.isdisjoint(failed)
+
     plan = list(failure_plan)  # already time-ordered
     next_event = 0
     failed: Set[Tuple[str, ...]] = set()
@@ -418,19 +435,15 @@ def solve_epochs(
             else:
                 failed.discard(key)
             next_event += 1
-        overlaps: Dict[str, float] = {}
-        for name, (start, end) in spans.items():
-            overlap = min(end, t1) - max(start, t0)
-            if overlap > 0.0:
-                overlaps[name] = overlap
+        overlap = np.minimum(ends, t1) - np.maximum(starts, t0)
+        active = np.flatnonzero(overlap > 0.0).tolist()
+        overlaps: Dict[str, float] = dict(
+            zip(map(names.__getitem__, active), overlap[active].tolist())
+        )
         blacked: List[str] = []
         healthy: List[str] = []
         for name in overlaps:
-            links = {
-                tuple(sorted(hop))
-                for hop in zip(paths[name][:-1], paths[name][1:])
-            }
-            if links & failed:
+            if failed and crosses_failed(name):
                 blacked.append(name)  # blacked out for this whole epoch
             elif name not in probes:
                 healthy.append(name)

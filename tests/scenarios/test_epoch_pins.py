@@ -13,8 +13,9 @@ the FIB graph once per call.  The scenario-level pins compare a
   ``class_rates`` and its ``blacked_members``.  The cells: a thinned
   ``scale-fat-tree-2k`` on ``fluid`` (the coalesced-grid path),
   ``ring-link-flap``, ``geo-rolling-failures`` and a thinned
-  ``scale-geo-rolling-10k`` on ``fluid`` (the failure path), and ``wan-elephant-mice`` on ``hybrid`` in per-flow and
-  aggregate-mice mode.
+  ``scale-geo-rolling-10k`` on ``fluid`` (the failure path), and
+  ``wan-elephant-mice`` on ``hybrid`` in per-flow and aggregate-mice
+  mode.
 - ``fibs``: per registered scenario, the sha256 of every router's FIB in
   insertion order after the topology's ``build()``, after ``fail_link``
   on its middle router-to-router link, and after the matching
