@@ -2,20 +2,15 @@
 """PolKA playground: the polynomial routing substrate by itself.
 
 Walks through (1) the paper's Fig. 1 example bit-for-bit, (2) routing on
-a larger topology with automatic node-ID assignment, (3) mPolKA-style
-multipath trees, and (4) failure recovery by edge re-steering.
+a larger topology with automatic node-ID assignment, and (3)
+mPolKA-style multipath trees.
 
 Run:  python examples/polka_playground.py
 """
 
 import networkx as nx
 
-from repro.polka import (
-    FailoverTable,
-    MultipathDomain,
-    PolkaDomain,
-    gf2,
-)
+from repro.polka import MultipathDomain, PolkaDomain, gf2
 from repro.topologies import fig1_line
 
 
@@ -60,26 +55,7 @@ def multipath() -> None:
         print(f"   at {node}: forwards to {sorted(dom.forward(node, route))}")
 
 
-def failover() -> None:
-    print("=" * 70)
-    print("4. Failure recovery: only the edge re-steers")
-    g = nx.cycle_graph(6)
-    g = nx.relabel_nodes(g, {i: f"r{i}" for i in g})
-    adjacency = {
-        n: {nbr: i for i, nbr in enumerate(sorted(g.neighbors(n)))} for n in g
-    }
-    domain = PolkaDomain(adjacency)
-    table = FailoverTable(domain, g, k=3)
-    primary = table.active("r0", "r3")
-    print(f"   primary : {' -> '.join(primary.path)}")
-    failed = (primary.path[1], primary.path[2])
-    backup = table.recover("r0", "r3", failed_links=[failed])
-    print(f"   link {failed} fails -> backup {' -> '.join(backup.path)}")
-    print(f"   migrations recorded: {len(table.history)} (core untouched)")
-
-
 if __name__ == "__main__":
     fig1_example()
     grid_routing()
     multipath()
-    failover()

@@ -9,9 +9,15 @@ the Fig. 4 sequence) and prints what happened.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
+from repro.framework import SelfDrivingNetwork
 from repro.ml import LinearRegression
-from repro.topologies import TUNNEL1, TUNNEL2, TUNNEL3
+from repro.topologies import (
+    TUNNEL1,
+    TUNNEL2,
+    TUNNEL3,
+    fig12_capacities,
+    global_p4_lab,
+)
 
 
 def main() -> None:

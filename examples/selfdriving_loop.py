@@ -10,10 +10,16 @@ telemetry-driven routing engine.
 Run:  python examples/selfdriving_loop.py
 """
 
-from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
+from repro.framework import SelfDrivingNetwork
 from repro.ml import LinearRegression
 from repro.net import UdpFlow
-from repro.topologies import TUNNEL1, TUNNEL2, TUNNEL3
+from repro.topologies import (
+    TUNNEL1,
+    TUNNEL2,
+    TUNNEL3,
+    fig12_capacities,
+    global_p4_lab,
+)
 
 
 def main() -> None:

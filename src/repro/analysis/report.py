@@ -32,19 +32,14 @@ def _by_rule(findings: Sequence[Finding]) -> Dict[str, int]:
     return counts
 
 
-def render_text(
-    findings: Sequence[Finding], show_baselined: bool = False
-) -> str:
-    """Human/CI-log view: one line per finding plus a summary."""
+def render_text(findings: Sequence[Finding]) -> str:
+    """Human/CI-log view: one line per active finding plus a summary
+    that counts the baselined ones."""
     active = [f for f in findings if not f.baselined]
     baselined = [f for f in findings if f.baselined]
-    shown = findings if show_baselined else active
-    lines: List[str] = []
-    for f in shown:
-        suffix = " (baselined)" if f.baselined else ""
-        lines.append(
-            f"{f.location()}: {f.rule} {f.message} [{f.name}]{suffix}"
-        )
+    lines: List[str] = [
+        f"{f.location()}: {f.rule} {f.message} [{f.name}]" for f in active
+    ]
     if not active:
         summary = "clean: no findings"
     else:

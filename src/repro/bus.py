@@ -25,13 +25,12 @@ class Message:
     topic: str
     payload: Dict[str, Any]
     msg_id: int
-    reply_to: Optional[str] = None
 
 
 class MessageBus:
     """Topic-based pub/sub with synchronous, ordered delivery.
 
-    Handlers run inline at :meth:`publish` time in subscription order —
+    Handlers run inline at :meth:`request` time in subscription order —
     deterministic by construction, which keeps simulation runs and tests
     reproducible.  Every message is appended to :attr:`log` so experiments
     can audit the exact control-plane conversation (the sequence of
@@ -57,22 +56,6 @@ class MessageBus:
 
     def subscribe(self, topic: str, handler: Callable[[Message], None]) -> None:
         self._subscribers.setdefault(topic, []).append(handler)
-
-    def unsubscribe(self, topic: str, handler: Callable[[Message], None]) -> None:
-        try:
-            self._subscribers.get(topic, []).remove(handler)
-        except ValueError:
-            raise KeyError(f"handler not subscribed to {topic!r}") from None
-
-    def publish(self, topic: str, reply_to: Optional[str] = None, **payload: Any) -> Message:
-        message = Message(
-            topic=topic, payload=dict(payload), msg_id=next(self._ids),
-            reply_to=reply_to,
-        )
-        self.log.append(message)
-        for handler in list(self._subscribers.get(topic, [])):
-            handler(message)
-        return message
 
     def request(self, topic: str, **payload: Any) -> List[Any]:
         """Publish and collect handler return values (simple RPC).

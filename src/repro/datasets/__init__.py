@@ -6,6 +6,6 @@ equivalent.  See the module docstring of :mod:`repro.datasets.uq_wireless`
 for the substitution rationale.
 """
 
-from .uq_wireless import WirelessDataset, generate_uq_wireless, load_csv
+from .uq_wireless import WirelessDataset, generate_uq_wireless
 
-__all__ = ["WirelessDataset", "generate_uq_wireless", "load_csv"]
+__all__ = ["WirelessDataset", "generate_uq_wireless"]

@@ -26,12 +26,11 @@ Path numbering follows Figs. 5b/6/7: **Path 1 = WiFi, Path 2 = LTE**.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WirelessDataset", "generate_uq_wireless", "load_csv"]
+__all__ = ["WirelessDataset", "generate_uq_wireless"]
 
 DURATION_S = 500
 INDOOR_END_S = 100
@@ -67,34 +66,6 @@ class WirelessDataset:
     @property
     def n_samples(self) -> int:
         return int(self.time.shape[0])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "wifi_mbps", "lte_mbps"])
-            for t, w, l in zip(self.time, self.wifi, self.lte):
-                writer.writerow([f"{t:.0f}", f"{w:.6f}", f"{l:.6f}"])
-
-
-def load_csv(path) -> WirelessDataset:
-    """Load a dataset written by :meth:`WirelessDataset.to_csv`."""
-    times, wifi, lte = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"time_s", "wifi_mbps", "lte_mbps"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"CSV must have columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            times.append(float(row["time_s"]))
-            wifi.append(float(row["wifi_mbps"]))
-            lte.append(float(row["lte_mbps"]))
-    if not times:
-        raise ValueError("empty dataset CSV")
-    return WirelessDataset(
-        time=np.asarray(times), wifi=np.asarray(wifi), lte=np.asarray(lte)
-    )
 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarray:

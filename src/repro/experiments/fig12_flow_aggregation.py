@@ -114,7 +114,7 @@ def run(
     # aggregate per-second series across flows
     series = {}
     for i in range(1, 4):
-        t, mbps = sdn.flow(f"f{i}").app.interval_mbps(1.0)
+        t, mbps = sdn.flow(f"f{i}").app.interval_mbps()
         series[i] = (t, mbps)
     n = min(v[1].size for v in series.values())
     times = series[1][0][:n]

@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
+from repro.framework import SelfDrivingNetwork
 from repro.ml import LinearRegression
-from repro.topologies import TUNNEL1, TUNNEL2, TUNNEL3
+from repro.topologies import (
+    TUNNEL1,
+    TUNNEL2,
+    TUNNEL3,
+    fig12_capacities,
+    global_p4_lab,
+)
 
 __all__ = ["Fig4Result", "run", "EXPECTED_SEQUENCE"]
 

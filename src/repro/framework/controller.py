@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, MutableSequence, Optional, Sequence, Tu
 from repro.bus import Message, MessageBus
 from repro.freertr.service import RECONFIG_TOPIC
 from repro.hecate.objectives import assign_flows
-from repro.hecate.service import ASK_PATH_BATCH_TOPIC, ASK_PATH_TOPIC, EVICT_PATH_TOPIC
+from repro.hecate.service import ASK_PATH_BATCH_TOPIC, ASK_PATH_TOPIC
 from repro.net.apps import PingApp, TcpFlow, UdpFlow
 from repro.net.topology import Network
 
@@ -181,31 +181,6 @@ class Controller:
             raise RuntimeError(f"tunnel creation failed: {replies}")
         self.telemetry.create_path_probe(name, path)
         self.tunnels[name] = TunnelInfo(name=name, tunnel_id=tunnel_id, path=path)
-
-    def remove_tunnel(self, name: str) -> None:
-        """Tear down one candidate tunnel and every cache keyed on it.
-
-        Refuses while any flow still rides the tunnel (migrate or
-        remove those first).  Evicts the telemetry probe, the incremental
-        getTelemetry cursor and Hecate's cached forecasts — the
-        per-tunnel state that would otherwise outlive the tunnel — and
-        drops every group snapshot, since removing a candidate changes
-        any group's assignment problem."""
-        if name not in self.tunnels:
-            raise KeyError(f"unknown tunnel {name!r}")
-        riders = sorted(
-            fn for fn, record in self.flows.items() if record.tunnel == name
-        )
-        if riders:
-            raise ValueError(
-                f"tunnel {name!r} still carries flows {riders}; "
-                "migrate or remove them first"
-            )
-        del self.tunnels[name]
-        self._telemetry_cursors.pop(name, None)
-        self._group_snapshots.clear()
-        self.telemetry.remove_path_probe(name)
-        self.bus.request(EVICT_PATH_TOPIC, path=name)
 
     def _candidates_for(self, ingress: str, egress: str) -> List[TunnelInfo]:
         """Tunnels usable by a flow entering at ``ingress`` towards a host

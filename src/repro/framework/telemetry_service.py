@@ -38,6 +38,7 @@ pulls O(new samples) on long runs.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Optional, Sequence
 
 from repro.bus import Message, MessageBus
@@ -86,19 +87,6 @@ class TelemetryService:
         probe.start(at)
         self.path_probes[name] = probe
 
-    def remove_path_probe(self, name: str) -> bool:
-        """Disarm and forget one path's agent (tunnel teardown).
-
-        The probe stops sampling immediately; its already-recorded
-        series stay in the DB.  Returns whether the probe existed —
-        removing an unknown name is a no-op, so teardown paths can call
-        this unconditionally."""
-        probe = self.path_probes.pop(name, None)
-        if probe is None:
-            return False
-        probe.stop()
-        return True
-
     def stop(self) -> None:
         self.link_collector.stop()
         for probe in self.path_probes.values():
@@ -106,9 +94,6 @@ class TelemetryService:
         self.started = False
 
     # ------------------------------------------------------------- access
-
-    def path_history(self, name: str, metric: str = "available_mbps"):
-        return self.db.series(f"path:{name}:{metric}")
 
     def _on_get(self, message: Message):
         """``telemetry.get``: full history, or — when the payload carries
@@ -126,7 +111,12 @@ class TelemetryService:
             t, v = self.db.series(key)
             cursor = self.db.count(key)
         else:
-            t, v, cursor = self.db.window_since(key, int(since))
+            if isinstance(since, bool) or not isinstance(since, Integral):
+                return {
+                    "ok": False,
+                    "error": f"since must be an integer cursor, got {since!r}",
+                }
+            t, v, cursor = self.db.window_since(key, since)
         return {
             "ok": True,
             "path": path,

@@ -11,6 +11,7 @@ booted controller needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,14 +28,12 @@ __all__ = [
     "HecateService",
     "ASK_PATH_TOPIC",
     "ASK_PATH_BATCH_TOPIC",
-    "EVICT_PATH_TOPIC",
     "default_model_factory",
     "resolve_model",
 ]
 
 ASK_PATH_TOPIC = "hecate.ask_path"
 ASK_PATH_BATCH_TOPIC = "hecate.ask_path_batch"
-EVICT_PATH_TOPIC = "hecate.evict_path"
 
 
 def default_model_factory():
@@ -66,6 +65,14 @@ def resolve_model(name: str) -> Callable[[], object]:
         ) from None
 
 
+def _horizon(payload: Dict) -> int:
+    """A request's ``horizon``: forecast steps, an integer >= 1."""
+    value = payload.get("horizon", 10)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Recommendation:
     """One answer to askHecatePath."""
@@ -91,7 +98,7 @@ class HecateService:
 
         {"paths": ["T1", "T2", ...],      # telemetry path names
          "objective": "max_bandwidth",    # any registered objective
-         "horizon": 10,                   # forecast steps (default 10)
+         "horizon": 10,                   # forecast steps >= 1 (default 10)
          "app_class": "voip"}             # scored by app-aware objectives
 
     Replies with ``Recommendation.as_payload()``.
@@ -123,33 +130,12 @@ class HecateService:
         if bus is not None:
             bus.subscribe(ASK_PATH_TOPIC, self._on_ask)
             bus.subscribe(ASK_PATH_BATCH_TOPIC, self._on_ask_batch)
-            bus.subscribe(EVICT_PATH_TOPIC, self._on_evict)
 
     @property
     def train_floor(self) -> int:
         """Samples a path needs before its regressor is fitted; below
         it the forecast repeats the latest observation."""
         return max(self.MIN_TRAIN_SAMPLES, self.n_lags + 2)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def evict_path(self, path: str) -> int:
-        """Drop every cached forecast for ``path`` (all horizons).
-
-        Called when a tunnel is torn down: under sustained churn the
-        forecast cache would otherwise accumulate one entry per
-        (departed tunnel, horizon) forever.  Returns the number of
-        entries evicted; unknown paths evict zero (idempotent)."""
-        stale = [key for key in self._forecast_cache if key[0] == path]
-        for key in stale:
-            del self._forecast_cache[key]
-        return len(stale)
-
-    def _on_evict(self, message: Message) -> Dict:
-        path = message.payload.get("path")
-        if not path:
-            return {"ok": False, "error": "evict_path needs a 'path'"}
-        return {"ok": True, "evicted": self.evict_path(path)}
 
     # ------------------------------------------------------------ queries
 
@@ -248,7 +234,7 @@ class HecateService:
             rec = self.recommend(
                 paths=payload["paths"],
                 objective=payload.get("objective", "max_bandwidth"),
-                horizon=int(payload.get("horizon", 10)),
+                horizon=_horizon(payload),
                 app_class=payload.get("app_class", "generic"),
             )
         except (KeyError, ValueError) as exc:
@@ -270,7 +256,10 @@ class HecateService:
         groups = payload.get("groups")
         if not groups:
             return {"ok": False, "error": "no groups to recommend for"}
-        horizon = int(payload.get("horizon", 10))
+        try:
+            horizon = _horizon(payload)
+        except ValueError as exc:
+            return {"ok": False, "error": str(exc)}
         memo: Dict[str, PathForecast] = {}
         entries: List[Dict] = []
         for group in groups:

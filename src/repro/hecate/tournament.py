@@ -53,6 +53,11 @@ PAPER_FIG6_RMSE: Dict[str, Tuple[float, float]] = {
     "R18": (16.97, 6.45),
 }
 
+#: Fig. 6 drops an entrant from the scatter when its RMSE on either path
+#: exceeds this multiple of that path's median RMSE (the paper excludes
+#: GPR "due to the high RMSE values").
+FIG6_EXCLUSION_FACTOR = 2.2
+
 
 @dataclass(frozen=True)
 class TournamentEntry:
@@ -126,11 +131,11 @@ def run_tournament(
     test_size: float = 0.25,
     entrants: Optional[Sequence[str]] = None,
     gpr_paper_mode: bool = True,
-    exclusion_factor: float = 2.2,
     target: str = "bandwidth",
     app_class: str = "video",
 ) -> TournamentResult:
-    """Evaluate the roster on both paths and apply the Fig. 6 exclusion.
+    """Evaluate the roster on both paths and apply the Fig. 6 exclusion
+    (:data:`FIG6_EXCLUSION_FACTOR`).
 
     Parameters
     ----------
@@ -141,10 +146,6 @@ def run_tournament(
         Evaluate R7 on the raw (unscaled) pipeline, reproducing the
         published off-scale GPR numbers; set False to run GPR through the
         same scaled pipeline as everyone else.
-    exclusion_factor:
-        An entrant is excluded from the scatter when its RMSE on either
-        path exceeds ``exclusion_factor`` x the median of that path's
-        RMSEs (the paper excludes GPR "due to the high RMSE values").
     target:
         ``"bandwidth"`` (the paper's Fig. 6 contest, the default) or
         ``"mos"`` — predict the per-second MOS the ``app_class`` QoE
@@ -186,7 +187,7 @@ def run_tournament(
     excluded = [
         e.paper_id
         for e in entries
-        if e.rmse_wifi > exclusion_factor * wifi_median
-        or e.rmse_lte > exclusion_factor * lte_median
+        if e.rmse_wifi > FIG6_EXCLUSION_FACTOR * wifi_median
+        or e.rmse_lte > FIG6_EXCLUSION_FACTOR * lte_median
     ]
     return TournamentResult(entries=entries, excluded=excluded)

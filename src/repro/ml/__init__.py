@@ -29,7 +29,6 @@ from .gaussian_process import (
     Kernel,
     Product,
     Sum,
-    WhiteKernel,
 )
 from .linear_model import (
     ARDRegression,
@@ -68,7 +67,7 @@ __all__ = [
     "HistGradientBoostingRegressor",
     # gp
     "GaussianProcessRegressor", "Kernel", "RBF", "ConstantKernel",
-    "WhiteKernel", "Sum", "Product",
+    "Sum", "Product",
     # svm
     "SVR", "LinearSVR",
     # protocol: scaling, windowing, scoring

@@ -90,17 +90,6 @@ class BaseEstimator:
     def get_params(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self._param_names()}
 
-    def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(valid)}"
-                )
-            setattr(self, key, value)
-        return self
-
     def __repr__(self) -> str:
         params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({params})"

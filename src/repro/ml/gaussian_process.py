@@ -30,7 +30,6 @@ __all__ = [
     "Kernel",
     "RBF",
     "ConstantKernel",
-    "WhiteKernel",
     "Sum",
     "Product",
     "GaussianProcessRegressor",
@@ -147,39 +146,6 @@ class ConstantKernel(Kernel):
     @property
     def bounds(self) -> np.ndarray:
         lo, hi = self.constant_value_bounds
-        return np.array([[math.log(lo), math.log(hi)]])
-
-
-class WhiteKernel(Kernel):
-    """Independent noise: ``noise_level`` on the diagonal of K(X, X)."""
-
-    def __init__(self, noise_level: float = 1.0, noise_level_bounds=(1e-5, 1e5)):
-        if noise_level <= 0:
-            raise ValueError("noise_level must be positive")
-        self.noise_level = float(noise_level)
-        self.noise_level_bounds = noise_level_bounds
-
-    def __call__(self, A, B=None) -> np.ndarray:
-        A = np.atleast_2d(A)
-        if B is None:
-            return self.noise_level * np.eye(A.shape[0])
-        B = np.atleast_2d(B)
-        return np.zeros((A.shape[0], B.shape[0]))
-
-    def diag(self, A) -> np.ndarray:
-        return np.full(np.atleast_2d(A).shape[0], self.noise_level)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([math.log(self.noise_level)])
-
-    @theta.setter
-    def theta(self, value) -> None:
-        self.noise_level = float(np.exp(value[0]))
-
-    @property
-    def bounds(self) -> np.ndarray:
-        lo, hi = self.noise_level_bounds
         return np.array([[math.log(lo), math.log(hi)]])
 
 

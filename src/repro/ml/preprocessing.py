@@ -62,6 +62,3 @@ class StandardScaler(BaseEstimator):
         X = self._check(X)
         return X * self.scale_ + self.mean_
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-

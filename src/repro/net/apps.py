@@ -326,20 +326,20 @@ class TcpFlow:
         total = sum(b for t, b in self.ack_log if t0 <= t < t1)
         return total * 8.0 / (t1 - t0) / 1e6
 
-    def interval_mbps(self, bin_s: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-interval throughput series (iperf3's per-second report)."""
+    def interval_mbps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-second throughput series (iperf3's per-second report)."""
         if self.started_at is None or not self.ack_log:
             return np.array([]), np.array([])
         t = np.asarray([x[0] for x in self.ack_log])
         b = np.asarray([x[1] for x in self.ack_log], dtype=np.float64)
         end = self.stop_at if self.stop_at is not None else t.max()
-        edges = np.arange(self.started_at, end + bin_s, bin_s)
+        edges = np.arange(self.started_at, end + 1.0, 1.0)
         sums, _ = np.histogram(t, bins=edges, weights=b)
         centers = (edges[:-1] + edges[1:]) / 2.0
-        return centers, sums * 8.0 / bin_s / 1e6
+        return centers, sums * 8.0 / 1e6
 
-    def report(self, bin_s: float = 1.0) -> FlowReport:
-        _, series = self.interval_mbps(bin_s)
+    def report(self) -> FlowReport:
+        _, series = self.interval_mbps()
         return FlowReport(
             flow_id=self.flow_id,
             src=self.host.name,

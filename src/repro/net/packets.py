@@ -70,10 +70,6 @@ class Packet:
         if self.size <= 0:
             raise ValueError(f"packet size must be positive, got {self.size}")
 
-    @property
-    def is_ack(self) -> bool:
-        return self.ack is not None
-
     def decapsulated(self) -> "Packet":
         """Strip the PolKA header (egress edge behaviour)."""
         self.route_id = None

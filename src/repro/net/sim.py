@@ -35,8 +35,8 @@ Most events are never cancelled: a packet hop is two of them
 handle too.  :meth:`Simulator.post` queues ``(time, seq, fn, args)``
 with no handle at all, and the dispatcher calls ``fn(*args)``, so a hop
 builds neither an :class:`Event` nor a ``functools.partial``.  Callers
-that may cancel use :meth:`Simulator.schedule` (or ``schedule_at`` /
-``schedule_batch``), whose entry is ``(time, seq, event, None)``: an
+that may cancel use :meth:`Simulator.schedule` (or ``schedule_at``),
+whose entry is ``(time, seq, event, None)``: an
 ``args`` of ``None`` marks the third field as an :class:`Event` handle,
 skipped while cancelled and otherwise run through its ``callback``.  Both
 shapes draw from one sequence counter, so their relative order is the
@@ -72,9 +72,7 @@ hybrid backend drives through it:
 - **event coalescing** — wide simultaneous updates must cost one heap
   operation, not hundreds: the hybrid backend folds all of an epoch's
   link re-weightings into a single callback
-  (:func:`repro.net.background.install_background_schedule`), and
-  :meth:`Simulator.schedule_batch` offers the same collapse as a
-  first-class primitive for callers holding a list of callbacks.
+  (:func:`repro.net.background.install_background_schedule`).
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ import heapq
 import itertools
 import math
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventBudgetExceeded", "Simulator"]
 
@@ -225,25 +223,6 @@ class Simulator:
         else:
             self._far.append((time, seq, event, None))
         return event
-
-    def schedule_batch(
-        self, delay: float, callbacks: Sequence[Callable[[], None]]
-    ) -> Event:
-        """Coalesce ``callbacks`` into one event ``delay`` seconds from
-        now; they run back-to-back, in order, at the same instant.
-
-        One queue entry instead of ``len(callbacks)`` — the cheap way to
-        apply a wide simultaneous update (e.g. re-weighting every link
-        at a background-load epoch edge).  Cancelling the returned event
-        cancels the whole batch.
-        """
-        callbacks = list(callbacks)
-
-        def run_all() -> None:
-            for callback in callbacks:
-                callback()
-
-        return self.schedule(delay, run_all)
 
     def _advance(self) -> bool:
         """Promote the earliest far entries into a fresh near window.

@@ -167,8 +167,7 @@ class Network:
     def fail_link(self, a: str, b: str) -> None:
         """Failure injection: the link black-holes traffic and FIBs
         reconverge around it (PolKA routeIDs are untouched — steering
-        around a failure is the edge's job, e.g. via
-        :class:`repro.polka.failover.FailoverTable`)."""
+        around a failure is the edge's job)."""
         link = self.link(a, b)
         link.up = False
         self.graph[a][b]["failed"] = True
@@ -204,12 +203,6 @@ class Network:
             if hop not in self.routers:
                 raise ValueError(f"{hop!r} is not a router")
         return path
-
-    def path_capacity_mbps(self, path: List[str]) -> float:
-        """Min link rate along a node path (static bottleneck capacity)."""
-        return min(
-            self.link(a, b).rate_mbps for a, b in zip(path[:-1], path[1:])
-        )
 
     def path_delay_ms(self, path: List[str]) -> float:
         """Sum of one-way propagation delays along a node path."""

@@ -14,15 +14,16 @@ Public API
 - :class:`repro.polka.routing.PolkaDomain` — node-ID assignment + route
   compilation + stateless forwarding walk.
 - :class:`repro.polka.routing.PortSwitchingRoute` — pop-per-hop baseline.
-- :class:`repro.polka.multipath.MultipathDomain` — mPolKA-style trees.
-- :class:`repro.polka.failover.FailoverTable` — edge-triggered migration.
+- :class:`repro.polka.multipath.MultipathDomain` — mPolKA-style trees,
+  the seam for AMPF-style multipath splitting.
+
+Only tests and examples reach the last one today; ``tools/census.py``
+keeps it on its allow-list with that reason.
 """
 
 from . import gf2
 from .crt import crt, pairwise_coprime, verify_crt
-from .failover import FailoverTable, MigrationEvent
 from .multipath import MultipathDomain, MultipathRoute
-from .pot import PotAuthority, TransitProof
 from .routing import PolkaDomain, PolkaNode, PortSwitchingRoute, Route, assign_node_ids
 
 __all__ = [
@@ -37,8 +38,4 @@ __all__ = [
     "assign_node_ids",
     "MultipathDomain",
     "MultipathRoute",
-    "FailoverTable",
-    "MigrationEvent",
-    "PotAuthority",
-    "TransitProof",
 ]

@@ -42,8 +42,6 @@ __all__ = [
     "irreducibles",
     "first_irreducibles",
     "poly_to_str",
-    "poly_from_str",
-    "random_poly",
 ]
 
 
@@ -237,30 +235,3 @@ def poly_to_str(p: int) -> str:
             else:
                 terms.append(f"t^{i}")
     return " + ".join(terms)
-
-
-def poly_from_str(s: str) -> int:
-    """Parse the output format of :func:`poly_to_str` (whitespace-tolerant)."""
-    s = s.strip()
-    if s == "0":
-        return 0
-    p = 0
-    for raw in s.split("+"):
-        term = raw.strip()
-        if term == "1":
-            p ^= 1
-        elif term == "t":
-            p ^= 1 << 1
-        elif term.startswith("t^"):
-            p ^= 1 << int(term[2:])
-        else:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-    return p
-
-
-def random_poly(rng, degree: int) -> int:
-    """Uniformly random polynomial of exactly ``degree`` (leading bit forced)."""
-    if degree < 0:
-        return 0
-    low = int(rng.integers(0, 1 << degree)) if degree > 0 else 0
-    return (1 << degree) | low

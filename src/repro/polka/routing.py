@@ -188,15 +188,6 @@ class PolkaDomain:
         except KeyError:
             raise KeyError(f"unknown PolKA node {name!r}") from None
 
-    def core_segment(self, path: Sequence[str]) -> Tuple[str, ...]:
-        """The nodes of ``path`` that forward by residue (all but the last).
-
-        The final node delivers locally, so it contributes no residue; every
-        earlier node must be a managed core/edge node with a port towards
-        its successor.
-        """
-        return tuple(path[:-1])
-
     def route_for_path(self, path: Sequence[str]) -> Route:
         """Compile a node path into a PolKA :class:`Route`.
 

@@ -494,12 +494,15 @@ def solve_epochs(
     return solves
 
 
+#: a background rate at or below this (Mbps) is a solver zero, not load
+_MIN_LOAD_MBPS = 1e-9
+
+
 def background_epochs(
     solves: Sequence[EpochSolve],
     background: Set[str],
     paths: Mapping[str, Tuple[str, ...]],
     aggregate: Optional[BackgroundAggregate] = None,
-    min_load_mbps: float = 1e-9,
 ) -> List[BackgroundEpoch]:
     """Collapse solved background rates into per-link load timelines.
 
@@ -524,7 +527,7 @@ def background_epochs(
         carried.extend(zip(class_paths, solve.class_rates.tolist()))
         loads: Dict[Tuple[str, str], float] = {}
         for path, mbps in carried:
-            if mbps <= min_load_mbps:
+            if mbps <= _MIN_LOAD_MBPS:
                 continue
             for hop in zip(path[:-1], path[1:]):
                 loads[hop] = loads.get(hop, 0.0) + mbps

@@ -1,7 +1,6 @@
 """Paper topologies and generators.
 
 - :func:`fig1_line` — the three-core-node PolKA worked example (Fig. 1).
-- :func:`three_node` — the s/i/d triangle of the min-max LP (Fig. 2).
 - :func:`global_p4_lab` — the emulated Global P4 Lab subset (Fig. 9) with
   the link capacities/delays of the Fig. 11/12 experiments.
 - :func:`random_wan` — seeded connected WANs for stress/property tests.
@@ -19,7 +18,6 @@ from .paper import (
     fig1_line,
     fig12_capacities,
     global_p4_lab,
-    three_node,
 )
 from .generators import (
     fat_tree_topology,
@@ -32,7 +30,6 @@ from .generators import (
 __all__ = [
     "fig1_line",
     "FIG1_NODE_IDS",
-    "three_node",
     "global_p4_lab",
     "fig12_capacities",
     "ROUTER_IPS",

@@ -1,4 +1,4 @@
-"""The three concrete topologies of the paper.
+"""The concrete topologies of the paper.
 
 Fig. 9's testbed is a subset of the Global P4 Lab: edge routers MIA
 (Miami) and AMS (Amsterdam), core routers SAO (Sao Paulo), CHI (Chicago)
@@ -23,7 +23,6 @@ from repro.net.topology import Network
 __all__ = [
     "fig1_line",
     "FIG1_NODE_IDS",
-    "three_node",
     "global_p4_lab",
     "fig12_capacities",
     "ROUTER_IPS",
@@ -67,30 +66,6 @@ def fig1_line():
         "s3": {"edge_out": 6, "s2": 1, "stub3": 0},
     }
     return adjacency, dict(FIG1_NODE_IDS)
-
-
-def three_node(
-    direct_mbps: float = 10.0,
-    via_mbps: float = 10.0,
-    direct_delay_ms: float = 5.0,
-    via_delay_ms: float = 3.0,
-) -> Network:
-    """Fig. 2's triangle: source ``s``, intermediate ``i``, destination ``d``.
-
-    Demand from s to d can use the direct edge (``x_sd``) or the two-hop
-    path through i (``x_sid``) — the flow-split variables of Eq. (1)-(3).
-    """
-    net = Network()
-    net.add_host("hs", ip="10.1.0.2")
-    net.add_host("hd", ip="10.2.0.2")
-    for r in ("s", "i", "d"):
-        net.add_router(r, edge=(r in ("s", "d")))
-    net.add_link("hs", "s", rate_mbps=1000.0, delay_ms=0.1)
-    net.add_link("hd", "d", rate_mbps=1000.0, delay_ms=0.1)
-    net.add_link("s", "d", rate_mbps=direct_mbps, delay_ms=direct_delay_ms)
-    net.add_link("s", "i", rate_mbps=via_mbps, delay_ms=via_delay_ms / 2)
-    net.add_link("i", "d", rate_mbps=via_mbps, delay_ms=via_delay_ms / 2)
-    return net.build()
 
 
 def fig12_capacities() -> Dict[Tuple[str, str], float]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import generate_uq_wireless, load_csv
+from repro.datasets import generate_uq_wireless
 from repro.datasets.uq_wireless import INDOOR_END_S, TRANSITION_END_S
 
 
@@ -74,23 +74,3 @@ class TestDatasetApi:
         assert np.array_equal(ds.path(2), ds.lte)  # Path 2 = LTE
         with pytest.raises(ValueError):
             ds.path(3)
-
-    def test_csv_roundtrip(self, tmp_path):
-        ds = generate_uq_wireless()
-        path = tmp_path / "uq.csv"
-        ds.to_csv(path)
-        back = load_csv(path)
-        assert np.allclose(back.wifi, ds.wifi, atol=1e-6)
-        assert np.allclose(back.lte, ds.lte, atol=1e-6)
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="columns"):
-            load_csv(path)
-
-    def test_load_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("time_s,wifi_mbps,lte_mbps\n")
-        with pytest.raises(ValueError, match="empty"):
-            load_csv(path)

@@ -3,8 +3,9 @@ Global P4 Lab testbed."""
 
 import pytest
 
-from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
+from repro.framework import SelfDrivingNetwork
 from repro.ml import LinearRegression
+from repro.topologies import fig12_capacities, global_p4_lab
 
 
 def build_sdn(reoptimize_every=None, rates=None, delays=None):

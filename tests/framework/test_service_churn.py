@@ -1,6 +1,5 @@
 """Churn-hardening tests: the controller's footprint must track the
-*concurrent* population, never lifetime arrivals, and tearing down a
-tunnel must evict every cache keyed on it."""
+*concurrent* population, never lifetime arrivals."""
 
 import pytest
 
@@ -101,56 +100,12 @@ class TestBoundedMemory:
         driver.sdn.retire_flow("recycled")
 
 
-class TestTunnelTeardown:
-    def test_remove_tunnel_evicts_every_cache(self):
+class TestFlowRemoval:
+    def test_remove_unknown_flow_raises(self):
         driver = make_driver(ChurnSpec(rate=10.0), duration=1.0)
-        sdn = driver.sdn
-        sdn.network.sim.run(until=0.5)  # first telemetry samples
-        controller = sdn.controller
-        name = next(iter(controller.tunnels))
-        # populate the per-tunnel caches
-        sdn.bus.request("hecate.ask_path", paths=[name], horizon=3)
-        assert any(k[0] == name for k in sdn.hecate._forecast_cache)
-        assert name in sdn.telemetry.path_probes
-
-        controller.remove_tunnel(name)
-        assert name not in controller.tunnels
-        assert name not in controller._telemetry_cursors
-        assert name not in sdn.telemetry.path_probes
-        assert not any(k[0] == name for k in sdn.hecate._forecast_cache)
-        assert controller._group_snapshots == {}
-
-    def test_remove_tunnel_refuses_while_flows_ride_it(self):
-        driver = make_driver(ChurnSpec(rate=10.0), duration=1.0)
-        driver.sdn.network.sim.run(until=0.5)  # first telemetry samples
-        request = FlowRequest(
-            flow_name="rider",
-            src=driver.pairs[0][0],
-            dst=driver.pairs[0][1],
-            protocol="udp",
-            tos=1,
-            duration=5.0,
-            rate_mbps=1.0,
-        )
-        reply = driver.sdn.scheduler.submit(request)
-        assert reply["ok"]
-        tunnel = driver.sdn.controller.flows["rider"].tunnel
-        with pytest.raises(ValueError, match="rider"):
-            driver.sdn.controller.remove_tunnel(tunnel)
-        # after retirement the teardown goes through
-        driver.sdn.retire_flow("rider")
-        driver.sdn.controller.remove_tunnel(tunnel)
-        assert tunnel not in driver.sdn.controller.tunnels
-
-    def test_remove_unknown_tunnel_and_flow_raise(self):
-        driver = make_driver(ChurnSpec(rate=10.0), duration=1.0)
-        with pytest.raises(KeyError):
-            driver.sdn.controller.remove_tunnel("no-such-tunnel")
         with pytest.raises(KeyError):
             driver.sdn.controller.remove_flow("no-such-flow")
 
-
-class TestFlowRemoval:
     def test_remove_flow_unwinds_the_data_plane(self):
         """Retiring a flow must delete its ingress ACL and PBR binding —
         the edge policy returns to its pre-placement size."""

@@ -92,7 +92,7 @@ class TestTelemetryService:
                               path=["MIA", "SAO", "AMS"])
         assert replies[0]["ok"]
         net.run(until=5.0)
-        t, v = svc.path_history("T1")
+        t, v = svc.db.series("path:T1:available_mbps")
         assert v.size >= 4
 
     def test_get_topic_returns_series(self):
@@ -127,6 +127,23 @@ class TestTelemetryService:
         more = bus.request("telemetry.get", path="T1", since=cursor)[0]
         assert len(more["values"]) >= 3
         assert more["cursor"] == cursor + len(more["values"])
+
+    @pytest.mark.parametrize(
+        "since",
+        ["abc", "3", [1], True, 2.5, float("inf")],
+        ids=["text", "digits", "list", "bool", "float", "inf"],
+    )
+    def test_get_rejects_malformed_cursor(self, since):
+        """A cursor that is not an integer is an error reply naming the
+        field, not an exception out of ``bus.request``."""
+        net = global_p4_lab()
+        bus = MessageBus()
+        svc = TelemetryService(net, bus)
+        svc.create_path_probe("T1", ["MIA", "SAO", "AMS"])
+        net.run(until=2.0)
+        (reply,) = bus.request("telemetry.get", path="T1", since=since)
+        assert reply["ok"] is False
+        assert "since" in reply["error"]
 
     def test_get_requires_path(self):
         net = global_p4_lab()

@@ -37,7 +37,7 @@ class TestMessageBus:
         seen = []
         bus.subscribe("t", lambda m: seen.append(("a", m.payload["x"])))
         bus.subscribe("t", lambda m: seen.append(("b", m.payload["x"])))
-        bus.publish("t", x=1)
+        bus.request("t", x=1)
         assert seen == [("a", 1), ("b", 1)]
 
     def test_request_collects_replies(self):
@@ -48,18 +48,10 @@ class TestMessageBus:
 
     def test_history_filter(self):
         bus = MessageBus()
-        bus.publish("a", v=1)
-        bus.publish("b", v=2)
-        bus.publish("a", v=3)
+        bus.request("a", v=1)
+        bus.request("b", v=2)
+        bus.request("a", v=3)
         assert [m.payload["v"] for m in bus.history("a")] == [1, 3]
-
-    def test_unsubscribe(self):
-        bus = MessageBus()
-        handler = lambda m: None
-        bus.subscribe("t", handler)
-        bus.unsubscribe("t", handler)
-        with pytest.raises(KeyError):
-            bus.unsubscribe("t", handler)
 
 
 class TestEdgePolicy:

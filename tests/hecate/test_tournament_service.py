@@ -201,6 +201,24 @@ class TestHecateService:
         replies = bus.request(ASK_PATH_TOPIC, paths=["ghost"])
         assert replies[0]["ok"] is False
 
+    @pytest.mark.parametrize(
+        "horizon", [0, -1, "x", "3", None, True, 2.5, float("inf"), 2.5j]
+    )
+    def test_bus_rejects_malformed_horizon(self, horizon, recwarn):
+        """A horizon that is not an integer >= 1 is an error reply naming
+        the field, not a pick from empty forecasts or an exception out
+        of ``bus.request``."""
+        bus = MessageBus()
+        HecateService(seeded_db(), bus=bus, model_factory=LinearRegression)
+        for topic, payload in [
+            (ASK_PATH_TOPIC, {"paths": ["T1", "T2"]}),
+            (ASK_PATH_BATCH_TOPIC, {"groups": [{"paths": ["T1", "T2"]}]}),
+        ]:
+            (reply,) = bus.request(topic, horizon=horizon, **payload)
+            assert reply["ok"] is False
+            assert "horizon" in reply["error"]
+        assert not recwarn.list
+
     def test_forecasts_are_non_negative(self):
         db = TimeSeriesDB()
         rng = np.random.default_rng(1)

@@ -10,7 +10,6 @@ from repro.ml import (
     LinearSVR,
     REGRESSOR_SPECS,
     SVR,
-    WhiteKernel,
     make_regressor,
     root_mean_squared_error,
     roster,
@@ -44,12 +43,12 @@ class TestKernels:
 
     def test_kernel_algebra(self):
         X = np.random.default_rng(2).normal(size=(4, 2))
-        k = ConstantKernel(2.0) * RBF(1.0) + WhiteKernel(0.5)
+        k = ConstantKernel(2.0) * RBF(1.0) + ConstantKernel(0.5)
         K = k(X)
         assert np.allclose(np.diag(K), 2.0 + 0.5)
-        # white noise contributes nothing off-diagonal / cross-matrix
+        assert np.allclose(K, 2.0 * RBF(1.0)(X) + 0.5)
         K_cross = k(X, X.copy())
-        assert np.allclose(K_cross, (ConstantKernel(2.0) * RBF(1.0))(X, X))
+        assert np.allclose(K_cross, K)
 
     def test_theta_roundtrip(self):
         k = ConstantKernel(2.0) * RBF(0.5)
@@ -63,8 +62,6 @@ class TestKernels:
             RBF(0.0)
         with pytest.raises(ValueError):
             ConstantKernel(-1.0)
-        with pytest.raises(ValueError):
-            WhiteKernel(0.0)
 
 
 class TestGPR:

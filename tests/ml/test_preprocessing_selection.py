@@ -27,13 +27,13 @@ class TestStandardScaler:
     def test_fit_transform_zero_mean_unit_var(self):
         rng = np.random.default_rng(1)
         X = rng.normal(5.0, 3.0, size=(200, 4))
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
     def test_zero_variance_column_survives(self):
         X = np.array([[1.0, 5.0], [1.0, 7.0]])
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         assert np.all(np.isfinite(Z))
         assert np.allclose(Z[:, 0], 0.0)
 

@@ -435,7 +435,9 @@ class TestForestBoundaryChecks:
         """A fit that raises assigns no fitted state, for all five
         ensembles: ``predict`` must not answer from a partial model."""
         X, y = small_noise()
-        forest = self._forest().set_params(max_features=11)
+        forest = RandomForestRegressor(
+            n_estimators=3, random_state=0, max_features=11
+        )
         with pytest.raises(ValueError, match="max_features must be in"):
             forest.fit(X, y)
         with pytest.raises(NotFittedError):

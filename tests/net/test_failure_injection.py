@@ -1,10 +1,8 @@
-"""Failure injection: link down/up, FIB reconvergence, PolKA failover."""
+"""Failure injection: link down/up, FIB reconvergence."""
 
 import pytest
 
 from repro.net import Network, Packet, PingApp, TcpFlow
-from repro.polka import FailoverTable
-from repro.topologies import global_p4_lab
 
 
 def diamond():
@@ -71,24 +69,3 @@ class TestLinkFailure:
         net = diamond()
         with pytest.raises(KeyError):
             net.fail_link("A", "D")
-
-
-class TestPolkaFailoverOnEmulator:
-    def test_edge_resteers_after_core_link_failure(self):
-        """The PolKA answer to failures: the edge stamps a new routeID
-        from the precomputed alternatives; the core stays untouched."""
-        net = global_p4_lab()
-        router_graph = net.graph.subgraph(net.routers).copy()
-        table = FailoverTable(net.polka, router_graph, k=3)
-        primary = table.active("MIA", "AMS")
-        assert primary.path == ("MIA", "CHI", "AMS") or len(primary.path) == 3
-        failed = (primary.path[0], primary.path[1])
-        net.fail_link(*failed)
-        backup = table.recover("MIA", "AMS", failed_links=[failed])
-        # steer traffic over the backup routeID and verify delivery
-        pkt = Packet(src="host1", dst="host2", size=200, flow_id=9,
-                     route_id=backup.route_id, tunnel_egress="AMS")
-        net.routers["MIA"].inject(pkt)
-        net.run(until=1.0)
-        assert net.hosts["host2"].received_bytes(9) == 200
-        assert table.history[-1].pair == ("MIA", "AMS")

@@ -83,10 +83,10 @@ class TestCancellation:
         first = sim.schedule(0.1, lambda: fired.append("first"))
         sim.post(0.2, fired.append, "post-near")
         at = sim.schedule_at(0.2, lambda: fired.append("at"))
-        batch = sim.schedule_batch(3.0, [lambda: fired.append("batch")])
+        far = sim.schedule(3.0, lambda: fired.append("far"))
         sim.post(3.0, fired.append, "post-far")
         first.cancel()
-        batch.cancel()
+        far.cancel()
         assert sim.pending_events() == 3
         assert sim.peek_time() == 0.2
         at.cancel()
@@ -94,7 +94,7 @@ class TestCancellation:
         assert sim.peek_time() == 0.2
         sim.run(until=1.0)
         assert fired == ["post-near"]
-        # the far tier holds a cancelled batch ahead of a live post
+        # the far tier holds a cancelled handle ahead of a live post
         assert sim.pending_events() == 1
         assert sim.peek_time() == 3.0
         sim.run()
@@ -174,8 +174,6 @@ class TestRunBoundaries:
         with pytest.raises(ValueError):
             sim.schedule_at(when, lambda: None)
         with pytest.raises(ValueError):
-            sim.schedule_batch(when, [lambda: None])
-        with pytest.raises(ValueError):
             sim.post(when, print, "never")
         assert sim.pending_events() == 0
         sim.run(until=1.0)
@@ -234,48 +232,6 @@ class TestPost:
         assert sim.pending_events() == 1
 
 
-class TestScheduleBatch:
-    def test_batch_runs_callbacks_in_order_as_one_event(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_batch(
-            1.0, [lambda i=i: log.append(i) for i in range(10)]
-        )
-        sim.run()
-        assert log == list(range(10))
-        assert sim.events_processed == 1  # coalesced: one heap entry
-
-    def test_batch_cancellation_cancels_all(self):
-        sim = Simulator()
-        log = []
-        event = sim.schedule_batch(1.0, [lambda: log.append(1)] * 3)
-        event.cancel()
-        sim.run()
-        assert log == []
-
-    def test_batch_interleaves_with_plain_events_by_time(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(0.5, lambda: log.append("before"))
-        sim.schedule_batch(1.0, [lambda: log.append("b1"),
-                                 lambda: log.append("b2")])
-        sim.schedule(1.5, lambda: log.append("after"))
-        sim.run()
-        assert log == ["before", "b1", "b2", "after"]
-
-    def test_batch_scheduled_out_of_time_order_fires_in_time_order(self):
-        # regression: a batch landing *earlier* than already-queued far
-        # events must not inherit the far bucket's promotion window —
-        # the calendar has to re-partition around the new minimum
-        sim = Simulator()
-        log = []
-        sim.schedule(50.0, lambda: log.append("late"))
-        sim.schedule_batch(2.0, [lambda: log.append("batch")])
-        sim.schedule(1.0, lambda: log.append("early"))
-        sim.run()
-        assert log == ["early", "batch", "late"]
-
-
 class TestCalendarQueueEquivalence:
     """The two-tier calendar must be indistinguishable from one global
     heap with a ``(time, sequence)`` tie-break.  The reference order is
@@ -289,8 +245,8 @@ class TestCalendarQueueEquivalence:
         return [key for _, _, key, _ in sorted(live, key=lambda e: e[1])]
 
     def test_100k_schedule_cancel_batch_round_trip(self):
-        """Handles (``schedule``, ``schedule_at``, ``schedule_batch``)
-        and handle-free ``post`` entries with 0, 1 and 2 arguments share
+        """Handles (``schedule``, ``schedule_at``, and ``schedule`` of one
+        callback that logs three keys) and handle-free ``post`` entries with 0, 1 and 2 arguments share
         one queue and one sequence counter; ~5 % of handles are
         cancelled."""
         import random
@@ -320,9 +276,7 @@ class TestCalendarQueueEquivalence:
             kind = rng.random()
             if kind < 0.10 and seq + 3 < n:
                 keys = [f"b{seq}.{j}" for j in range(3)]
-                event = sim.schedule_batch(
-                    time, [lambda k=k: log.append(k) for k in keys]
-                )
+                event = sim.schedule(time, lambda ks=keys: log.extend(ks))
                 entries.append((seq, time, keys, False))
                 handles.append((len(entries) - 1, event))
                 seq += 3

@@ -1,4 +1,4 @@
-"""CRT, PolkaDomain, multipath and failover tests — including the paper's
+"""CRT, PolkaDomain and multipath tests — including the paper's
 Fig. 1 worked example, reproduced bit-for-bit."""
 
 import networkx as nx
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.polka import (
-    FailoverTable,
     MultipathDomain,
     PolkaDomain,
     PolkaNode,
@@ -220,60 +219,6 @@ class TestMultipath:
         dom = MultipathDomain({"a": {"b": 0}})
         with pytest.raises(ValueError):
             dom.route_for_tree({})
-
-
-class TestFailover:
-    def _domain(self):
-        g, adj = grid_adjacency(3)
-        return PolkaDomain(adj), g
-
-    def test_active_defaults_to_shortest(self):
-        domain, g = self._domain()
-        table = FailoverTable(domain, g, k=3)
-        route = table.active("n0_0", "n2_2")
-        assert len(route.path) == 5  # manhattan distance 4 -> 5 nodes
-
-    def test_recover_avoids_failed_link(self):
-        domain, g = self._domain()
-        table = FailoverTable(domain, g, k=8)
-        first = table.active("n0_0", "n0_2")
-        failed = (first.path[0], first.path[1])
-        route = table.recover("n0_0", "n0_2", failed_links=[failed])
-        assert frozenset(failed) not in {
-            frozenset(e) for e in zip(route.path[:-1], route.path[1:])
-        }
-        assert table.history and table.history[-1].pair == ("n0_0", "n0_2")
-
-    def test_recover_avoids_failed_node(self):
-        domain, g = self._domain()
-        table = FailoverTable(domain, g, k=8)
-        first = table.active("n0_0", "n2_2")
-        middle = first.path[len(first.path) // 2]
-        route = table.recover("n0_0", "n2_2", failed_nodes=[middle])
-        assert middle not in route.path
-
-    def test_recover_exhausted_raises(self):
-        domain, g = self._domain()
-        table = FailoverTable(domain, g, k=1)
-        first = table.active("n0_0", "n0_1")
-        with pytest.raises(nx.NetworkXNoPath):
-            # kill every precomputed option (k=1 -> only the direct path)
-            table.recover("n0_0", "n0_1", failed_links=[(first.path[0], first.path[1])])
-
-    def test_migrate_records_event_and_compiles_new_path(self):
-        domain, g = self._domain()
-        table = FailoverTable(domain, g, k=1)
-        table.active("n0_0", "n0_2")
-        detour = ["n0_0", "n1_0", "n1_1", "n1_2", "n0_2"]
-        route = table.migrate("n0_0", "n0_2", detour, reason="test")
-        assert route.path == tuple(detour)
-        assert table.active("n0_0", "n0_2").path == tuple(detour)
-        assert table.history[-1].reason == "test"
-
-    def test_k_validation(self):
-        domain, g = self._domain()
-        with pytest.raises(ValueError):
-            FailoverTable(domain, g, k=0)
 
 
 class TestAssignNodeIds:

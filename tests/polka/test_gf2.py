@@ -189,20 +189,3 @@ class TestStrRoundtrip:
         assert gf2.poly_to_str(1) == "1"
         assert gf2.poly_to_str(0) == "0"
 
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            gf2.poly_from_str("t^2 + q")
-
-    @given(polys)
-    def test_roundtrip(self, p):
-        assert gf2.poly_from_str(gf2.poly_to_str(p)) == p
-
-
-class TestRandomPoly:
-    def test_exact_degree(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for degree in [0, 1, 5, 31]:
-            p = gf2.random_poly(rng, degree)
-            assert gf2.deg(p) == degree

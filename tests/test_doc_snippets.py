@@ -9,8 +9,15 @@ without executing the run.  A renamed flag, a dropped subcommand or a
 deleted scenario makes the stale snippet a test failure, not a reader's
 surprise.  The cheap ``list`` commands are additionally executed end to
 end.
+
+The same holds for documented imports: every ``from repro... import``
+and ``import repro...`` in a fenced ``python`` block of those files or
+in ``examples/*.py`` must resolve — module importable, name present —
+checked on the syntax tree, without running the snippet.
 """
 
+import ast
+import importlib
 import shlex
 from pathlib import Path
 
@@ -29,6 +36,7 @@ from repro.scenarios import list_scenarios, list_workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def iter_documented_commands():
@@ -138,3 +146,95 @@ def test_documentation_actually_documents_commands():
 def test_cheap_documented_commands_execute(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def python_blocks(path):
+    """Yield ``(lineno, code)`` for every fenced ``python`` block."""
+    block = None
+    start = 0
+    for lineno, raw in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), 1
+    ):
+        fence = raw.strip()
+        if block is None and fence in ("```python", "```py"):
+            block, start = [], lineno + 1
+        elif block is not None and fence.startswith("```"):
+            yield start, "\n".join(block)
+            block = None
+        elif block is not None:
+            block.append(raw)
+
+
+BLOCKS = [
+    (path, start, code)
+    for path in SOURCES
+    for start, code in python_blocks(path)
+]
+
+
+@pytest.mark.parametrize(
+    ("path", "start", "code"),
+    BLOCKS,
+    ids=[f"{path.name}:{start}" for path, start, _ in BLOCKS],
+)
+def test_documented_python_block_parses(path, start, code):
+    ast.parse(code, f"{path.name}:{start}")
+
+
+def repro_imports(tree, where, first_line=1):
+    """``(where, module, name)`` per ``repro`` import in ``tree``;
+    ``name`` is None for a plain ``import repro...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found = [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found = [(alias.name, None) for alias in node.names]
+        else:
+            continue
+        for module, name in found:
+            if module.split(".")[0] == "repro":
+                yield f"{where}:{first_line + node.lineno - 1}", module, name
+
+
+def iter_documented_imports():
+    for path, start, code in BLOCKS:
+        try:
+            tree = ast.parse(code)
+        except SyntaxError:
+            continue  # test_documented_python_block_parses reports it
+        yield from repro_imports(tree, path.name, start)
+    for path in EXAMPLES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield from repro_imports(tree, f"examples/{path.name}")
+
+
+IMPORTS = list(iter_documented_imports())
+
+
+@pytest.mark.parametrize(
+    ("where", "module", "name"),
+    IMPORTS,
+    ids=[f"{where}-{module}.{name}" for where, module, name in IMPORTS],
+)
+def test_documented_import_resolves(where, module, name):
+    try:
+        imported = importlib.import_module(module)
+    except ImportError as exc:
+        pytest.fail(f"stale documented import at {where}: {exc}")
+    if name is None or hasattr(imported, name):
+        return
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        pytest.fail(
+            f"stale documented import at {where}: "
+            f"{module} has no {name!r}"
+        )
+
+
+def test_documentation_actually_documents_imports():
+    # every example and the README quickstart import from repro
+    assert {where.split(":")[0] for where, _, _ in IMPORTS} >= {
+        "README.md",
+        *(f"examples/{path.name}" for path in EXAMPLES),
+    }

@@ -1,10 +1,9 @@
 """Cross-package integration: the whole reproduction wired together."""
 
 import numpy as np
-import pytest
 
-from repro.core import SelfDrivingNetwork, fig12_capacities, global_p4_lab
-from repro.datasets import generate_uq_wireless, load_csv
+from repro.datasets import generate_uq_wireless
+from repro.framework import SelfDrivingNetwork
 from repro.hecate import (
     HoltLinear,
     QoSPredictor,
@@ -18,7 +17,7 @@ from repro.ml import (
     make_regressor,
     root_mean_squared_error,
 )
-from repro.topologies import TUNNEL1, TUNNEL2
+from repro.topologies import TUNNEL1, TUNNEL2, fig12_capacities, global_p4_lab
 
 
 class TestTournamentWinnerDrivesFramework:
@@ -43,16 +42,6 @@ class TestTournamentWinnerDrivesFramework:
                                   protocol="tcp", tos=32, duration=5.0)
         assert result["controller"]["ok"]
         assert sdn.flow("f").tunnel == "T1"
-
-    def test_dataset_csv_roundtrip_preserves_tournament(self, tmp_path):
-        ds = generate_uq_wireless()
-        path = tmp_path / "uq.csv"
-        ds.to_csv(path)
-        reloaded = load_csv(path)
-        a = run_tournament(ds, entrants=["R11"]).entry("R11")
-        b = run_tournament(reloaded, entrants=["R11"]).entry("R11")
-        # CSV stores 6 decimals, so allow that quantization through the RMSE
-        assert a.rmse_wifi == pytest.approx(b.rmse_wifi, abs=1e-5)
 
 
 class TestForecasterInterchangeability:
