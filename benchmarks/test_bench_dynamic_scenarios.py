@@ -16,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.net.fluid import FluidFlow, max_min_fair
+from repro.net.fluid import (
+    FluidFlow,
+    _canonicalize,
+    _fill_scalar,
+    _fill_vector,
+    max_min_fair,
+)
 from repro.scenarios import ScenarioRunner, get_scenario, list_scenarios
 from repro.sweep import SweepEngine, SweepSpec
 
@@ -40,20 +46,20 @@ def test_vectorized_solver_at_sweep_scale(benchmark):
     scalar oracle to 1e-9 and beat it by a wide margin."""
     flows, caps = _sweep_scale_case()
     rates = benchmark(max_min_fair, flows, caps)  # auto -> vectorized
-    oracle = max_min_fair(flows, caps, method="scalar")
+    oracle = _fill_scalar(*_canonicalize(flows, caps))
     for name, rate in oracle.items():
         assert rates[name] == pytest.approx(rate, rel=1e-9, abs=1e-9)
 
-    def best_of(method, rounds=3):
+    def best_of(fill, rounds=3):
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
-            max_min_fair(flows, caps, method=method)
+            fill()
             timings.append(time.perf_counter() - start)
         return min(timings)
 
-    scalar_s = best_of("scalar")
-    vector_s = best_of("vector")
+    scalar_s = best_of(lambda: _fill_scalar(*_canonicalize(flows, caps)))
+    vector_s = best_of(lambda: _fill_vector(flows, caps))
     print(
         f"\n240-flow solve: scalar {scalar_s * 1e3:.1f} ms, "
         f"vector {vector_s * 1e3:.1f} ms ({scalar_s / vector_s:.0f}x)"

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """PolKA playground: the polynomial routing substrate by itself.
 
-Walks through (1) the paper's Fig. 1 example bit-for-bit, (2) routing on
-a larger topology with automatic node-ID assignment, and (3)
-mPolKA-style multipath trees.
+Walks through (1) the paper's Fig. 1 example bit-for-bit and (2) routing
+on a larger topology with automatic node-ID assignment.
 
 Run:  python examples/polka_playground.py
 """
 
 import networkx as nx
 
-from repro.polka import MultipathDomain, PolkaDomain, gf2
+from repro.polka import PolkaDomain, gf2
 from repro.topologies import fig1_line
 
 
@@ -44,18 +43,6 @@ def grid_routing() -> None:
     print(f"   hops verified: {len(domain.walk(route))}")
 
 
-def multipath() -> None:
-    print("=" * 70)
-    print("3. mPolKA multipath: one routeID, two branches")
-    adjacency = {"a": {"b": 0, "c": 1}, "b": {"d": 0}, "c": {"d": 0}}
-    dom = MultipathDomain(adjacency)
-    route = dom.route_for_tree({"a": ["b", "c"], "b": ["d"], "c": ["d"]})
-    print(f"   routeID = 0b{route.route_id:b}")
-    for node in ("a", "b", "c"):
-        print(f"   at {node}: forwards to {sorted(dom.forward(node, route))}")
-
-
 if __name__ == "__main__":
     fig1_example()
     grid_routing()
-    multipath()

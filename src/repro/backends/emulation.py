@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.net.fluid import link_capacities, max_min_fair_bounded
+from repro.net.fluid import FluidFlow, link_capacities, max_min_fair_bounded
 from repro.scenarios.result import ScenarioResult
 
 from .base import (
@@ -274,6 +274,15 @@ class MockEmulationDriver:
         grid = sorted(edges)
 
         by_name = {f.flow_name: f for f in plan.flows}
+        # each flow's claimant, a UDP sender's rate as its bound
+        records = {
+            f.flow_name: FluidFlow.from_path(
+                f.flow_name,
+                f.path,
+                bound=(f.rate_mbps or None) if f.protocol == "udp" else None,
+            )
+            for f in plan.flows
+        }
         delivered = {name: 0.0 for name in spans}
         outage_s = {name: 0.0 for name in spans}
         for t0, t1 in zip(grid[:-1], grid[1:]):
@@ -284,21 +293,13 @@ class MockEmulationDriver:
                 for name, (s0, s1) in spans.items()
                 if s0 < t1 and s1 > t0
             ]
-            live = {
-                name: by_name[name].path
-                for name in active
-                if not _is_down(by_name[name].path, t0, down)
-            }
+            live = []
             for name in active:
-                if name not in live:
+                if _is_down(by_name[name].path, t0, down):
                     outage_s[name] += t1 - t0
-            bounds = {
-                name: by_name[name].rate_mbps
-                for name in live
-                if by_name[name].protocol == "udp"
-                and by_name[name].rate_mbps
-            }
-            rates = max_min_fair_bounded(live, capacities, bounds)
+                else:
+                    live.append(records[name])
+            rates = max_min_fair_bounded(live, capacities)
             for name, rate in rates.items():
                 delivered[name] += rate * (t1 - t0)
 

@@ -7,12 +7,6 @@ and the Sec. III LP/convex formulations — exposed directly and as a
 message-bus service answering ``askHecatePath`` (Fig. 4).
 """
 
-from .forecasters import (
-    HoltLinear,
-    HoltWinters,
-    SimpleExpSmoothing,
-    TimeSeriesQoSPredictor,
-)
 from .lp import FlowSplit, solve_min_cost, solve_min_delay, solve_min_max_utilization
 from .objectives import (
     AssignmentResult,
@@ -23,7 +17,6 @@ from .objectives import (
     choose_min_max_utilization,
 )
 from .predictor import EvaluationResult, QoSPredictor, evaluate_pipeline
-from .rl import QLearningPathSelector, TunnelEnv
 from .service import (
     ASK_PATH_BATCH_TOPIC,
     ASK_PATH_TOPIC,
@@ -47,6 +40,4 @@ __all__ = [
     "HecateService", "ASK_PATH_TOPIC", "ASK_PATH_BATCH_TOPIC",
     "default_model_factory", "resolve_model",
     "assign_flows", "AssignmentResult",
-    "SimpleExpSmoothing", "HoltLinear", "HoltWinters", "TimeSeriesQoSPredictor",
-    "QLearningPathSelector", "TunnelEnv",
 ]

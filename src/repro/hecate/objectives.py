@@ -275,9 +275,9 @@ def assign_flows(
     solves for 4 tunnels, not 4 096; 462 for 6, not 46 656), and the
     greedy pass by ``n * (k - 1) + 1``, most of which repeat as well.
     A solve sees one claimant per used tunnel, not one flow per flow:
-    the ``m`` flows on a tunnel become one flow crossing its path ``m``
-    times, which both fills charge exactly as they charge the ``m``
-    flows, so each flow's rate is its claimant's, bit for bit.
+    the ``m`` flows on a tunnel become one claimant of ``count=m``,
+    which both fills charge exactly as they charge the ``m`` flows, so
+    each flow's rate is its claimant's, bit for bit.
     """
     flows = sorted(current)
     tunnels = sorted(tunnel_paths)
@@ -313,17 +313,17 @@ def assign_flows(
         per-tunnel tallies are ``counts``."""
         tunnel_rate = solved.get(counts)
         if tunnel_rate is None:
-            # one claimant per used tunnel, in first-use order, crossing
-            # the path once per flow on it.  Exact because both fills
-            # charge a link once per traversal with integer usage sums,
-            # and a claimant gains each round's increment once, as every
-            # member would.  Not max_min_fair(weights=): scaling the
-            # increment by the count rounds differently.  Every claimant
-            # is built before the solve, so a short path still raises
-            # before a missing capacity, and the first missing link met
-            # is the one the per-flow list met first.
+            # one counted claimant per used tunnel, in first-use order.
+            # Exact because both fills charge a link once per traversal
+            # per member with integer usage sums, and a claimant gains
+            # each round's increment once, as every member would.  Not a
+            # weight: scaling the increment by the count rounds
+            # differently.  Every claimant is built before the solve, so
+            # a short path still raises before a missing capacity, and
+            # the first missing link met is the one the per-flow list
+            # met first.
             claimants = [
-                FluidFlow(t, links_of(t) * counts[slot[t]])
+                FluidFlow(t, links_of(t), count=counts[slot[t]])
                 for t in dict.fromkeys(on)
             ]
             tunnel_rate = solved[counts] = max_min_fair(claimants, capacities)

@@ -5,19 +5,19 @@ module answers *where they should converge*: given each flow's path and
 the link capacities, progressive filling computes the max-min fair rate
 allocation that competing AIMD flows approximate in steady state.
 
-One progressive-filling rule, two fills selected by input size:
+One claimant record (:class:`FluidFlow`), one progressive-filling rule,
+two fills selected by claimant count and weight:
 
-- a **vectorized** fill over a flow x link incidence matrix (numpy),
-  optionally weighted, for the wide flow sets dynamic-scenario sweeps
-  produce;
+- a **vectorized** fill over a claimant x link incidence matrix (numpy),
+  optionally weighted, for the wide claimant sets dynamic-scenario
+  sweeps produce;
 - the **scalar** dict-based fill, faster below
-  :data:`_VECTOR_MIN_FLOWS` flows (most solves of a sweep cell are that
-  small) and the cross-check oracle the property tests compare against.
+  :data:`_VECTOR_MIN_FLOWS` unit-weight claimants (most solves of a
+  sweep cell are that small) and the cross-check oracle the property
+  tests compare against.
 
-Both return bit-identical rates, and :func:`max_min_fair_bounded` is the
-only pin-and-reshare loop on top of them: plain max-min is unit weights
-with no bounds, a flow-class aggregate is one weighted claimant under
-one demand bound.
+Both return bit-identical rates at unit weights, and
+:func:`max_min_fair_bounded` is the only pin-and-reshare loop on top.
 
 Capacity keys are **directed** ``(a, b)`` node pairs.  Lookup tries the
 exact direction first and falls back to the reversed key, so legacy
@@ -33,12 +33,11 @@ ablation benchmark comparing fluid vs. packet-level predictions, and
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -73,39 +72,71 @@ _VECTOR_MIN_FLOWS = 24
 
 @dataclass(frozen=True)
 class FluidFlow:
-    """A flow abstracted to the ordered set of directed links it crosses."""
+    """A claimant: the directed links it crosses, and how it claims.
+
+    ``count`` identical members share the path: integer usage, rounded
+    exactly as that many flows, and a per-member rate.  ``weight`` fair
+    shares make a flow-class aggregate: a scaled increment, which rounds
+    differently, and the whole class's rate.  ``bound`` is a CBR ceiling
+    (:func:`max_min_fair_bounded`); a negative or NaN one raises: pinned
+    at it, the claimant would hand capacity back (or never be pinned).
+    A count below one or a negative, NaN or infinite weight raises too;
+    a zero weight (a class with no member active) claims nothing.
+    """
 
     name: str
     links: Tuple[Tuple[str, str], ...]
+    count: int = 1
+    weight: float = 1.0
+    bound: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.count, int) and self.count >= 1
+                and 0.0 <= self.weight < math.inf):
+            raise ValueError(
+                f"flow {self.name!r} needs an integer count >= 1 and a finite "
+                f"weight >= 0, got {self.count!r} and {self.weight!r}"
+            )
+        if self.bound is not None and not self.bound >= 0.0:
+            raise ValueError(
+                f"rate bound of flow {self.name!r} must be >= 0, "
+                f"got {self.bound!r}"
+            )
 
     @staticmethod
-    def from_path(name: str, path: Sequence[str]) -> "FluidFlow":
+    def from_path(
+        name: str, path: Sequence[str], bound: Optional[float] = None
+    ) -> "FluidFlow":
         if len(path) < 2:
             raise ValueError("path needs at least two nodes")
-        return FluidFlow(name=name, links=tuple(zip(path[:-1], path[1:])))
+        links = tuple(zip(path[:-1], path[1:]))
+        return FluidFlow(name, links, bound=bound)
 
 
 def _canonicalize(
     flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
-) -> Tuple[Dict[str, List[Tuple[str, str]]], Dict[Tuple[str, str], float]]:
-    """Resolve every flow's links onto capacity keys.
+) -> Tuple[
+    Dict[str, Dict[Tuple[str, str], int]], Dict[Tuple[str, str], float]
+]:
+    """Resolve every claimant's links onto capacity keys.
 
     Directed lookup first, reversed fallback second — so a directed
     capacity map gives each direction its own budget while an undirected
     one (legacy) shares a single entry between both directions.  Returns
-    ``(flow name -> canonical keys, key -> capacity)`` restricted to the
-    links some flow actually crosses.  Each distinct link is resolved
-    once per call, however many flows (or traversals of one claimant)
-    cross it.  Raises ``KeyError`` for the first link met with no
-    capacity in either direction and ``ValueError`` for a NaN capacity
-    or a duplicate flow name.
+    ``(claimant name -> {key: traversals x count}, key -> capacity)``,
+    keys in first-traversal order, restricted to the links some claimant
+    actually crosses.  Each distinct link is resolved once per call,
+    however many claimants (or traversals of one) cross it.  Raises
+    ``KeyError`` for the first link met with no capacity in either
+    direction and ``ValueError`` for a NaN capacity or a duplicate
+    claimant name.
     """
-    flow_links: Dict[str, List[Tuple[str, str]]] = {}
+    flow_uses: Dict[str, Dict[Tuple[str, str], int]] = {}
     caps: Dict[Tuple[str, str], float] = {}
     key_of: Dict[Tuple[str, str], Tuple[str, str]] = {}
     for flow in flows:
-        canon = []
+        uses: Dict[Tuple[str, str], int] = {}
         for link in flow.links:
             key = key_of.get(link)
             if key is None:
@@ -120,40 +151,38 @@ def _canonicalize(
                     cap = caps[key] = float(capacities[key])
                     if cap != cap:
                         raise ValueError(f"capacity of link {key} is NaN")
-            canon.append(key)
-        if flow.name in flow_links:
+            uses[key] = uses.get(key, 0) + flow.count
+        if flow.name in flow_uses:
             raise ValueError(f"duplicate flow name {flow.name!r}")
-        flow_links[flow.name] = canon
-    return flow_links, caps
+        flow_uses[flow.name] = uses
+    return flow_uses, caps
 
 
 def _fill_scalar(
-    flow_links: Dict[str, List[Tuple[str, str]]],
+    flow_uses: Dict[str, Dict[Tuple[str, str], int]],
     caps: Dict[Tuple[str, str], float],
 ) -> Dict[str, float]:
-    """Dict-based progressive filling (the reference implementation).
+    """Dict-based progressive filling at unit weights (the reference).
 
-    A flow crossing a link more than once (e.g. both directions of an
-    undirected capacity entry) consumes capacity once per traversal —
-    the same multiplicity rule the vectorized incidence matrix encodes,
-    so the two implementations stay interchangeable.
+    A claimant consumes a link once per traversal per member — the
+    multiplicity ``_canonicalize`` tallies, which the vectorized
+    incidence matrix encodes too, so the two fills stay interchangeable.
     """
     remaining = dict(caps)
     sat_eps = {link: _REL_EPS * max(1.0, cap) for link, cap in caps.items()}
-    flow_counts = {f: Counter(links) for f, links in flow_links.items()}
-    # rates is inserted in flow_links (input) order, never set-iteration
+    # rates is inserted in flow_uses (input) order, never set-iteration
     # order: downstream float sums over rates.values() must not depend
     # on PYTHONHASHSEED, or exact ties in assign_flows' lexicographic
     # scoring flip between processes and parallel sweeps lose their
     # byte-for-byte determinism
-    rates: Dict[str, float] = {f: 0.0 for f in flow_links}
-    active = set(flow_links)
+    rates: Dict[str, float] = {f: 0.0 for f in flow_uses}
+    active = set(flow_uses)
     while active:
-        # per-link traversal count over active flows; the tightest link
-        # constrains the common increment
+        # per-link traversal count over active claimants; the tightest
+        # link constrains the common increment
         usage: Dict[Tuple[str, str], int] = {}
         for f in active:
-            for link, count in flow_counts[f].items():
+            for link, count in flow_uses[f].items():
                 usage[link] = usage.get(link, 0) + count
         increment = min(
             remaining[link] / users for link, users in usage.items()
@@ -161,14 +190,14 @@ def _fill_scalar(
         if increment < 0.0:
             increment = 0.0
         # apply increment, find newly saturated links
-        for f in flow_links:
+        for f in flow_uses:
             if f in active:
                 rates[f] += increment
         for link, users in usage.items():
             remaining[link] -= increment * users
         saturated = {l for l, r in remaining.items() if r <= sat_eps[l]}
         frozen = {
-            f for f in active if any(l in saturated for l in flow_counts[f])
+            f for f in active if any(l in saturated for l in flow_uses[f])
         }
         if not frozen:
             # the increment underflowed without saturating any link
@@ -180,47 +209,43 @@ def _fill_scalar(
 
 
 def _fill_vector(
-    flow_links: Dict[str, List[Tuple[str, str]]],
-    caps: Dict[Tuple[str, str], float],
-    weights: Optional[Mapping[str, float]] = None,
+    flows: Sequence[FluidFlow],
+    capacities: Mapping[Tuple[str, str], float],
 ) -> Dict[str, float]:
-    """Vectorized progressive filling over a link x flow incidence matrix.
-
-    Each round computes every link's active claim with one matrix-vector
-    product, takes the global tightest increment, applies it, and
-    freezes all flows crossing newly saturated links — the same rule as
-    :func:`_fill_scalar`, and bit-identical to it at unit weights.
-
-    Flow ``f`` grows at ``weights[f]`` (default 1.0) times the common
-    fill level, so a flow-class aggregate standing in for ``w`` identical
+    """Vectorized progressive filling over a link x claimant incidence
+    matrix.  Each round computes every link's active claim with one
+    matrix-vector product, takes the global tightest increment, applies
+    it, and freezes all claimants crossing newly saturated links — the
+    same rule as :func:`_fill_scalar`, and bit-identical to it at unit
+    weights.  A claimant grows at its ``weight`` times the common fill
+    level, so a flow-class aggregate standing in for ``w`` identical
     flows claims exactly the share those ``w`` flows would have claimed
-    individually; zero-weight flows never claim capacity.
+    individually.
     """
-    names = list(flow_links)
+    flow_uses, caps = _canonicalize(flows, capacities)
+    uses = list(flow_uses.values())
     keys = list(caps)
     key_index = {key: i for i, key in enumerate(keys)}
-    # one count per traversal, tallied by bincount over flat (link, flow)
-    # cells: integer counts, so the same matrix as adding 1.0 per
-    # occurrence
-    n = len(names)
-    rows = [key_index[key] for name in names for key in flow_links[name]]
-    cols = np.repeat(np.arange(n), [len(flow_links[name]) for name in names])
-    counts = np.bincount(
-        np.array(rows, dtype=np.intp) * n + cols, minlength=len(keys) * n
-    )
-    incidence = counts.reshape(len(keys), n).astype(float)
-    if weights is None:
-        weight = np.ones(len(names))
-    else:
-        weight = np.array([float(weights.get(name, 1.0)) for name in names])
+    # one cell per (link, claimant), its multiplicity tallied by
+    # bincount: integer counts, so the same matrix as adding 1.0 per
+    # traversal
+    n = len(uses)
+    rows = [key_index[key] for use in uses for key in use]
+    cols = np.repeat(np.arange(n), [len(use) for use in uses])
+    incidence = np.bincount(
+        np.array(rows, dtype=np.intp) * n + cols,
+        weights=[count for use in uses for count in use.values()],
+        minlength=len(keys) * n,
+    ).reshape(len(keys), n)
+    weight = np.array([flow.weight for flow in flows], dtype=float)
     cap = np.array([caps[key] for key in keys])
     remaining = cap.copy()
     sat_eps = _REL_EPS * np.maximum(cap, 1.0)
-    rates = np.zeros(len(names))
+    rates = np.zeros(n)
     active = weight > 0.0
-    # every round freezes at least one flow or breaks, so <= n_flows rounds
-    for _ in range(len(names)):
-        growth = weight * active  # rate each flow gains per unit of fill
+    # every round freezes at least one claimant or breaks, so <= n rounds
+    for _ in range(n):
+        growth = weight * active  # rate each claimant gains per unit of fill
         users = incidence @ growth
         used = users > 0.0
         if not used.any():
@@ -237,115 +262,87 @@ def _fill_vector(
         active &= ~frozen
         if not active.any():
             break
-    return {name: float(rates[j]) for j, name in enumerate(names)}
+    return {name: float(rates[j]) for j, name in enumerate(flow_uses)}
+
+
+def _fill(
+    flows: Sequence[FluidFlow],
+    capacities: Mapping[Tuple[str, str], float],
+) -> Dict[str, float]:
+    """The scalar fill below :data:`_VECTOR_MIN_FLOWS` claimants of weight
+    exactly 1.0 (it has no weights), the vectorized fill otherwise."""
+    if len(flows) < _VECTOR_MIN_FLOWS and all(
+        flow.weight == 1.0  # repro-lint: disable=RL006
+        for flow in flows
+    ):
+        return _fill_scalar(*_canonicalize(flows, capacities))
+    return _fill_vector(flows, capacities)
 
 
 def max_min_fair(
     flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
-    method: str = "auto",
-    weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
-    """Progressive-filling max-min fair allocation.
+    """Progressive-filling (weighted) max-min fair allocation.
 
-    All flows grow at the same rate until some link saturates; flows
-    crossing saturated links freeze, remaining capacity is recomputed,
-    and the process repeats.  Raises ``KeyError`` if a flow crosses a
-    link not present in ``capacities`` (directed lookup with reversed
-    fallback) and ``ValueError`` if a crossed link's capacity is NaN,
-    which would otherwise turn every rate into NaN.
-
-    ``method`` selects the implementation: ``"vector"`` (numpy incidence
-    matrix), ``"scalar"`` (reference dicts), or ``"auto"`` (vectorized
-    from :data:`_VECTOR_MIN_FLOWS` flows up, scalar below, where each is
-    fastest).  The two are **bit-identical**, not merely close: which
-    one runs depends on how many flows happen to be active in an epoch,
-    so anything looser would let an unrelated flow count move a byte of
-    a pinned result (the property tests assert ``==``).
-
-    ``weights`` (flow name -> fair shares claimed per filling round,
-    absent names 1.0) makes the allocation weighted max-min.  Only the
-    vectorized fill carries weights, so ``"auto"`` selects it and
-    ``"scalar"`` is rejected.
+    All claimants grow at the same rate (times their weight) until some
+    link saturates; claimants crossing saturated links freeze, remaining
+    capacity is recomputed, and the process repeats.  Raises
+    ``KeyError`` if a claimant crosses a link not present in
+    ``capacities`` (directed lookup with reversed fallback), and
+    ``ValueError`` if a crossed link's capacity is NaN (every rate would
+    be NaN) or a claimant carries a ``bound``.  Which fill runs depends
+    on how many claimants an epoch happens to hold, so the two are
+    **bit-identical**, not merely close (the property tests assert
+    ``==``): a looser match would let an unrelated flow move a byte.
     """
-    if method not in ("auto", "vector", "scalar"):
-        raise ValueError(
-            f"method must be 'auto', 'vector' or 'scalar', got {method!r}"
-        )
-    if weights is not None and method == "scalar":
-        raise ValueError("the scalar fill is unweighted; use 'vector'")
-    flow_links, caps = _canonicalize(flows, capacities)
-    if not flow_links:
-        return {}
-    if method == "scalar" or (
-        method == "auto"
-        and weights is None
-        and len(flow_links) < _VECTOR_MIN_FLOWS
-    ):
-        return _fill_scalar(flow_links, caps)
-    return _fill_vector(flow_links, caps, weights)
+    for flow in flows:
+        if flow.bound is not None:
+            raise ValueError(
+                f"flow {flow.name!r} carries a rate bound; "
+                "use max_min_fair_bounded"
+            )
+    return _fill(flows, capacities)
 
 
 def max_min_fair_bounded(
-    flow_paths: Mapping[str, Sequence[str]],
+    flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
-    bounds: Mapping[str, float],
-    weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
-    """(Weighted) max-min fair allocation with per-flow rate ceilings.
+    """(Weighted) max-min fair allocation under the claimants' bounds.
 
-    Water-filling with bounds: flows whose fair share exceeds their
-    ceiling (CBR UDP senders) are pinned at the ceiling, their usage is
-    subtracted from link capacities, and the unbounded flows re-share
-    the remainder — so elastic flows soak up what rigid ones leave,
-    matching what AIMD does at packet level.  ``flow_paths`` maps flow
-    name to its node path; converges in at most ``len(bounds)`` rounds.
-
-    With ``weights`` this is the solver behind the hybrid backend's
-    *aggregate-mice* mode: an entry is either a real flow (weight 1, the
-    default) or a flow-class aggregate whose weight is the number of its
-    members active in the epoch — the class then claims ``weight`` fair
-    shares per filling round, exactly what its members would have
-    claimed as individual flows on the same path — and whose bound is
-    the summed offered load of its CBR members.  Zero-weight entries are
-    reported at 0.0 and never claim capacity; returned rates are per
-    *entry* (an aggregate's rate is the whole class's Mbps).
-
-    A negative or NaN bound raises ``ValueError`` naming the entry: pinned
-    at it, the entry would hand capacity back to its links (or never be
-    pinned at all).  A NaN capacity raises too (see
-    :func:`max_min_fair`); a negative one means no headroom, as in the
-    fills.
+    Water-filling with bounds: claimants whose fair share exceeds their
+    ``bound`` (CBR UDP senders, or a flow class's summed CBR demand) are
+    pinned at it, their usage is subtracted from link capacities once
+    per traversal, and the rest re-share the remainder — so elastic
+    flows soak up what rigid ones leave, matching what AIMD does at
+    packet level.  Converges in at most one round per bounded claimant.
+    A class claimant's weight is the number of its members active in
+    the epoch, so it claims what they would as individual flows.  A NaN
+    capacity raises (see :func:`max_min_fair`); a negative one means no
+    headroom, as in the fills.
     """
-    pending = {
-        name: FluidFlow.from_path(name, path)
-        for name, path in flow_paths.items()
-    }
-    for name in pending:
-        bound = bounds.get(name)
-        if bound is not None and not bound >= 0.0:
-            raise ValueError(
-                f"rate bound of flow {name!r} must be >= 0, got {bound!r}"
-            )
     rates: Dict[str, float] = {}
     remaining = dict(capacities)
+    pending = list(flows)
     while pending:
-        fair = max_min_fair(list(pending.values()), remaining, weights=weights)
-        capped = {
-            name for name, rate in fair.items()
-            if name in bounds and rate > bounds[name]
-        }
+        fair = _fill(pending, remaining)
+        capped = sorted(
+            (flow.name, flow.bound, flow)
+            for flow in pending
+            if flow.bound is not None and fair[flow.name] > flow.bound
+        )
         if not capped:
             rates.update(fair)
             break
-        for name in sorted(capped):
-            rate = bounds[name]
+        for name, rate, flow in capped:
             rates[name] = rate
-            for hop in pending.pop(name).links:
+            for hop in flow.links:
                 # directed lookup, reversed fallback — the same key
-                # resolution max_min_fair applies
+                # resolution the fills apply
                 key = hop if hop in remaining else (hop[1], hop[0])
-                remaining[key] = max(0.0, remaining[key] - rate)
+                remaining[key] = max(0.0, remaining[key] - rate * flow.count)
+        pending = [flow for flow in pending if flow.name not in rates]
     return rates
 
 

@@ -14,16 +14,10 @@ Public API
 - :class:`repro.polka.routing.PolkaDomain` — node-ID assignment + route
   compilation + stateless forwarding walk.
 - :class:`repro.polka.routing.PortSwitchingRoute` — pop-per-hop baseline.
-- :class:`repro.polka.multipath.MultipathDomain` — mPolKA-style trees,
-  the seam for AMPF-style multipath splitting.
-
-Only tests and examples reach the last one today; ``tools/census.py``
-keeps it on its allow-list with that reason.
 """
 
 from . import gf2
 from .crt import crt, pairwise_coprime, verify_crt
-from .multipath import MultipathDomain, MultipathRoute
 from .routing import PolkaDomain, PolkaNode, PortSwitchingRoute, Route, assign_node_ids
 
 __all__ = [
@@ -36,6 +30,4 @@ __all__ = [
     "PortSwitchingRoute",
     "Route",
     "assign_node_ids",
-    "MultipathDomain",
-    "MultipathRoute",
 ]

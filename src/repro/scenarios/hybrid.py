@@ -55,7 +55,7 @@ import numpy as np
 from repro.framework.controller import select_candidates
 from repro.framework.scheduler import FlowRequest
 from repro.net.background import BackgroundEpoch
-from repro.net.fluid import max_min_fair_bounded
+from repro.net.fluid import FluidFlow, max_min_fair_bounded
 from repro.net.topology import Network
 
 from .failures import FailureEvent
@@ -399,10 +399,17 @@ def solve_epochs(
     are the only residual approximation.
     """
     class_paths = aggregate.class_paths if aggregate is not None else ()
+    class_hops = [tuple(zip(path[:-1], path[1:])) for path in class_paths]
     class_links = [
-        frozenset(tuple(sorted(hop)) for hop in zip(path[:-1], path[1:]))
-        for path in class_paths
+        frozenset(tuple(sorted(hop)) for hop in hops) for hops in class_hops
     ]
+    # every non-probe flow's claimant, its rate cap as the bound, built
+    # once per run; each epoch picks the healthy ones
+    records = {
+        name: FluidFlow.from_path(name, paths[name], bound=rate_caps.get(name))
+        for name in spans
+        if name not in probes
+    }
     # spans as arrays, so each epoch's overlap test is two elementwise
     # IEEE ops (the same doubles as scalar min/max/-), in spans order
     names = list(spans)
@@ -441,17 +448,12 @@ def solve_epochs(
             zip(map(names.__getitem__, active), overlap[active].tolist())
         )
         blacked: List[str] = []
-        healthy: List[str] = []
+        claimants: List[FluidFlow] = []
         for name in overlaps:
             if failed and crosses_failed(name):
                 blacked.append(name)  # blacked out for this whole epoch
             elif name not in probes:
-                healthy.append(name)
-        claimants: Dict[str, Tuple[str, ...]] = {
-            name: paths[name] for name in healthy
-        }
-        bounds: Mapping[str, float] = rate_caps
-        weights: Optional[Dict[str, float]] = None
+                claimants.append(records[name])
         class_names: Dict[str, int] = {}
         blacked_members = 0
         if aggregate is not None:
@@ -464,18 +466,17 @@ def solve_epochs(
             class_names = {
                 f"class:{k}": int(k) for k in np.flatnonzero(count > 0.0)
             }
-            weights = {}
-            class_bounds = dict(rate_caps)
-            for name, k in class_names.items():
-                claimants[name] = class_paths[k]
-                weights[name] = float(count[k])
-                if np.isfinite(bound[k]):
-                    class_bounds[name] = float(bound[k])
-            bounds = class_bounds
+            claimants.extend(
+                FluidFlow(
+                    name,
+                    class_hops[k],
+                    weight=float(count[k]),
+                    bound=float(bound[k]),
+                )
+                for name, k in class_names.items()
+            )
         rates = (
-            max_min_fair_bounded(claimants, capacities, bounds, weights)
-            if claimants
-            else {}
+            max_min_fair_bounded(claimants, capacities) if claimants else {}
         )
         class_rates = np.zeros(len(class_paths))
         for name, k in class_names.items():

@@ -135,6 +135,31 @@ class TestMockDriver:
         assert drops == 0  # TCP iperf reports bandwidth only
         assert per_flow["u0"] > 0.0
 
+    def test_each_flow_record_is_built_once(self, monkeypatch):
+        """The UDP sender's rate is its claimant's bound, and the epochs
+        on either side of an outage solve the same record."""
+        import repro.backends.emulation as emulation
+
+        seen = []
+        solve = emulation.max_min_fair_bounded
+
+        def spy(claimants, capacities):
+            seen.append(list(claimants))
+            return solve(claimants, capacities)
+
+        monkeypatch.setattr(emulation, "max_min_fair_bounded", spy)
+        cues = (
+            FailureCue(at=2.0, action="fail", a="r0", b="r1",
+                       command="link down r0 r1 @ 2s"),
+            FailureCue(at=4.0, action="restore", a="r0", b="r1",
+                       command="link up r0 r1 @ 4s"),
+        )
+        MockEmulationDriver().run(_tiny_plan(protocol="udp", failures=cues))
+        live = [epoch[0] for epoch in seen if epoch]
+        assert [len(epoch) for epoch in seen] == [1, 0, 1]
+        assert live[0] is live[1]
+        assert live[0].bound == 8.0
+
     def test_rates_respect_the_bottleneck(self):
         plan = _tiny_plan(protocol="tcp")
         per_flow, _, _ = parse_driver_output(

@@ -1,18 +1,21 @@
 """Path resolution, the bincount incidence and the input checks of the
 fluid solver.
 
-- ``_canonicalize`` resolves each distinct link once per call; the
-  property test replays the one-lookup-per-traversal reference on
-  repeated, reversed and undirected-map paths and compares results and
-  raised errors exactly.
-- ``_fill_vector`` tallies its incidence with one ``np.bincount``; its
-  rates must equal the scalar fill's, bit for bit, on inputs on both
-  sides of ``_VECTOR_MIN_FLOWS``.
-- ``max_min_fair_bounded`` rejects a negative or NaN bound and the fills
-  a NaN capacity, instead of inventing capacity or returning NaN.
+- ``_canonicalize`` resolves each distinct link once per call into a
+  ``{key: traversals x count}`` map per claimant; the property test
+  replays the one-lookup-per-traversal reference on repeated, reversed,
+  counted and undirected-map paths and compares results and raised
+  errors exactly.
+- ``_fill_vector`` tallies its incidence with one ``np.bincount``
+  weighted by those multiplicities; its rates must equal the scalar
+  fill's, bit for bit, on inputs on both sides of ``_VECTOR_MIN_FLOWS``.
+- A claimant rejects a negative or NaN bound, ``max_min_fair`` any bound,
+  and the fills a NaN capacity, instead of inventing capacity or
+  returning NaN.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +25,24 @@ from repro.net.fluid import (
     _VECTOR_MIN_FLOWS,
     FluidFlow,
     _canonicalize,
+    _fill_scalar,
+    _fill_vector,
     max_min_fair,
     max_min_fair_bounded,
 )
 
 NODES = ("a", "b", "c", "d", "e")
 
+#: the two fills, called directly
+FILLS = {
+    "scalar": lambda flows, caps: _fill_scalar(*_canonicalize(flows, caps)),
+    "vector": _fill_vector,
+}
+
 
 def reference_canonicalize(flows, capacities):
-    """One lookup per traversal: the resolution the memo must reproduce."""
+    """One lookup per traversal, tallied per key and scaled by the
+    claimant's count: the resolution the memo must reproduce."""
     flow_links, caps = {}, {}
     for flow in flows:
         canon = []
@@ -46,7 +58,9 @@ def reference_canonicalize(flows, capacities):
             caps.setdefault(key, float(capacities[key]))
         if flow.name in flow_links:
             raise ValueError(f"duplicate flow name {flow.name!r}")
-        flow_links[flow.name] = canon
+        flow_links[flow.name] = {
+            key: n * flow.count for key, n in Counter(canon).items()
+        }
     return flow_links, caps
 
 
@@ -66,8 +80,9 @@ hops = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)).filter(
 @st.composite
 def resolution_cases(draw):
     """Flows over a five-node alphabet: some share one path, some cross
-    it reversed or repeated, names may collide, and the capacity map is
-    directed, undirected (one direction per link) or missing links."""
+    it reversed or repeated, counts vary, names may collide, and the
+    capacity map is directed, undirected (one direction per link) or
+    missing links."""
     paths = draw(st.lists(st.lists(hops, min_size=1, max_size=4), min_size=1,
                           max_size=4))
     flows = []
@@ -77,7 +92,7 @@ def resolution_cases(draw):
             path = tuple((b, a) for a, b in reversed(path))
         path *= draw(st.integers(1, 3))
         name = f"f{draw(st.integers(0, 14)) if draw(st.booleans()) else i}"
-        flows.append(FluidFlow(name, path))
+        flows.append(FluidFlow(name, path, count=draw(st.integers(1, 3))))
     links = sorted({hop for flow in flows for hop in flow.links})
     capacities = {}
     for a, b in links:
@@ -116,8 +131,8 @@ class TestCanonicalizeMemo:
 
 @st.composite
 def straddling_cases(draw):
-    """Between ``_VECTOR_MIN_FLOWS - 8`` and ``+ 8`` flows on a few shared
-    paths, some crossing a link more than once."""
+    """Between ``_VECTOR_MIN_FLOWS - 8`` and ``+ 8`` claimants on a few
+    shared paths, some crossing a link more than once, some counted."""
     n_links = draw(st.integers(2, 10))
     links = [(f"u{i}", f"v{i}") for i in range(n_links)]
     caps = {
@@ -136,6 +151,7 @@ def straddling_cases(draw):
             f"f{i}",
             tuple(links[k] for k in paths[draw(st.integers(0, len(paths) - 1))])
             * draw(st.integers(1, 3)),
+            count=draw(st.integers(1, 3)),
         )
         for i in range(n_flows)
     ]
@@ -147,8 +163,8 @@ class TestBincountIncidence:
     @given(case=straddling_cases())
     def test_vector_rates_equal_scalar_rates(self, case):
         flows, caps = case
-        scalar = max_min_fair(flows, caps, method="scalar")
-        vector = max_min_fair(flows, caps, method="vector")
+        scalar = FILLS["scalar"](flows, caps)
+        vector = FILLS["vector"](flows, caps)
         auto = max_min_fair(flows, caps)
         assert list(vector.items()) == list(scalar.items())
         assert list(auto.items()) == list(scalar.items())
@@ -158,36 +174,43 @@ class TestRejectsInventedCapacity:
     PATHS = {"a": ("x", "y", "z"), "b": ("x", "y")}
     CAPS = {("x", "y"): 10.0, ("y", "z"): 5.0}
 
+    def claimants(self, bounds):
+        return [
+            FluidFlow.from_path(name, path, bound=bounds.get(name))
+            for name, path in self.PATHS.items()
+        ]
+
     @pytest.mark.parametrize("bound", [-2.0, -1e-9, math.nan])
     def test_bad_bound_names_the_flow(self, bound):
         """A negative bound would hand capacity back (``b`` got 12 Mbps on
         a 10 Mbps link); a NaN bound was silently ignored."""
         with pytest.raises(ValueError, match="flow 'a'"):
-            max_min_fair_bounded(self.PATHS, self.CAPS, {"a": bound})
+            self.claimants({"a": bound})
 
     def test_zero_and_infinite_bounds_still_allowed(self):
         rates = max_min_fair_bounded(
-            self.PATHS, self.CAPS, {"a": 0.0, "b": math.inf}
+            self.claimants({"a": 0.0, "b": math.inf}), self.CAPS
         )
         assert rates == {"a": 0.0, "b": 10.0}
 
-    def test_bound_of_an_absent_entry_is_not_checked(self):
-        rates = max_min_fair_bounded(self.PATHS, self.CAPS, {"gone": -1.0})
-        assert rates == {"a": 5.0, "b": 5.0}
+    def test_max_min_fair_rejects_a_bounded_claimant(self):
+        """A bound means the pin-and-reshare loop; the plain solve
+        would silently ignore it."""
+        with pytest.raises(ValueError, match="flow 'a' carries a rate bound"):
+            max_min_fair(self.claimants({"a": 1.0}), self.CAPS)
 
     def test_nan_capacity_names_the_link(self):
         caps = {("x", "y"): 10.0, ("y", "z"): math.nan}
         with pytest.raises(ValueError, match=r"\('y', 'z'\)"):
-            max_min_fair_bounded(self.PATHS, caps, {})
-        for method in ("scalar", "vector"):
+            max_min_fair_bounded(self.claimants({}), caps)
+        flows = [FluidFlow.from_path("a", ("x", "y", "z"))]
+        for fill in FILLS.values():
             with pytest.raises(ValueError, match="NaN"):
-                max_min_fair(
-                    [FluidFlow.from_path("a", ("x", "y", "z"))], caps, method
-                )
+                fill(flows, caps)
 
     def test_nan_capacity_nobody_crosses_is_ignored(self):
         caps = {**self.CAPS, ("q", "r"): math.nan}
-        assert max_min_fair_bounded(self.PATHS, caps, {}) == {
+        assert max_min_fair_bounded(self.claimants({}), caps) == {
             "a": 5.0, "b": 5.0
         }
 
@@ -195,11 +218,7 @@ class TestRejectsInventedCapacity:
     def test_negative_capacity_still_means_no_headroom(self, method):
         """The controller's effective capacities can dip below zero; that
         keeps meaning a zero share, not an error."""
-        flows = [
-            FluidFlow.from_path("a", ("x", "y", "z")),
-            FluidFlow.from_path("b", ("x", "y")),
-        ]
-        rates = max_min_fair(
-            flows, {("x", "y"): 10.0, ("y", "z"): -3.0}, method
+        rates = FILLS[method](
+            self.claimants({}), {("x", "y"): 10.0, ("y", "z"): -3.0}
         )
         assert rates == {"a": 0.0, "b": 10.0}

@@ -1,5 +1,5 @@
 """Vectorized max-min solver vs the scalar oracle, directed capacities,
-the relative-epsilon saturation fix, and the repeated-path claimant
+the relative-epsilon saturation fix, and the counted claimant
 ``assign_flows`` solves in place of a tunnel's flows."""
 
 import math
@@ -12,11 +12,21 @@ from hypothesis import strategies as st
 from repro.net.fluid import (
     _VECTOR_MIN_FLOWS,
     FluidFlow,
+    _canonicalize,
+    _fill_scalar,
+    _fill_vector,
     link_capacities,
     max_min_fair,
     total_throughput,
 )
 from repro.net.topology import Network
+
+#: the two fills, called directly; ``auto`` is the dispatching entry point
+FILLS = {
+    "scalar": lambda flows, caps: _fill_scalar(*_canonicalize(flows, caps)),
+    "vector": _fill_vector,
+    "auto": max_min_fair,
+}
 
 
 def random_case(seed, n_links=None, n_flows=None):
@@ -41,18 +51,14 @@ class TestVectorizedMatchesScalar:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_property_cross_check(self, seed):
         """Property: on randomized flow/link sets, the scalar fill, the
-        vectorized fill and the vectorized fill at explicit unit weights
-        return the same floats, bit for bit — ``auto`` picks a fill from
-        the flow count, so a looser agreement would let the byte-identity
-        pins move with an unrelated flow's presence."""
+        vectorized fill and ``max_min_fair`` return the same floats, bit
+        for bit — ``max_min_fair`` picks a fill from the claimant count,
+        so a looser agreement would let the byte-identity pins move with
+        an unrelated flow's presence."""
         flows, caps = random_case(seed)
-        scalar = max_min_fair(flows, caps, method="scalar")
-        vector = max_min_fair(flows, caps, method="vector")
-        unit = max_min_fair(
-            flows, caps, weights={flow.name: 1.0 for flow in flows}
-        )
-        assert list(scalar.items()) == list(vector.items())
-        assert list(scalar.items()) == list(unit.items())
+        scalar = FILLS["scalar"](flows, caps)
+        assert list(scalar.items()) == list(_fill_vector(flows, caps).items())
+        assert list(scalar.items()) == list(max_min_fair(flows, caps).items())
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -70,26 +76,29 @@ class TestVectorizedMatchesScalar:
     def test_auto_dispatches_both_ways(self):
         flows, caps = random_case(3, n_links=10, n_flows=5)
         assert max_min_fair(flows, caps) == pytest.approx(
-            max_min_fair(flows, caps, method="vector")
+            _fill_vector(flows, caps)
         )
         flows, caps = random_case(4, n_links=20, n_flows=50)
         assert max_min_fair(flows, caps) == pytest.approx(
-            max_min_fair(flows, caps, method="scalar")
+            FILLS["scalar"](flows, caps)
         )
 
-    def test_unknown_method_rejected(self):
-        flows, caps = random_case(5)
-        with pytest.raises(ValueError):
-            max_min_fair(flows, caps, method="simd")
-        # the scalar fill carries no weights
-        with pytest.raises(ValueError, match="unweighted"):
-            max_min_fair(flows, caps, method="scalar", weights={"f0": 2.0})
+    def test_a_weighted_claimant_takes_the_vector_fill(self):
+        """The scalar fill has no weights: below the threshold, one
+        weighted claimant sends the whole solve to the vector fill."""
+        flows = [
+            FluidFlow("w", (("a", "b"),), weight=3.0),
+            FluidFlow.from_path("u", ("a", "b")),
+        ]
+        caps = {("a", "b"): 8.0}
+        assert max_min_fair(flows, caps) == _fill_vector(flows, caps)
+        assert max_min_fair(flows, caps) == {"w": 6.0, "u": 2.0}
 
     def test_empty_flow_set(self):
         assert max_min_fair([], {("a", "b"): 10.0}) == {}
 
-    @pytest.mark.parametrize("method", ["scalar", "vector"])
-    def test_repeated_link_counts_per_traversal(self, method):
+    @pytest.mark.parametrize("fill", ["scalar", "vector"])
+    def test_repeated_link_counts_per_traversal(self, fill):
         """A flow crossing one capacity entry twice (both directions of
         an undirected map) consumes it twice; the scalar solver once
         counted such a flow as a single user and over-allocated 15 Mbps
@@ -99,18 +108,18 @@ class TestVectorizedMatchesScalar:
             FluidFlow(name="f0", links=(("a", "b"), ("b", "a"))),
             FluidFlow(name="f1", links=(("a", "b"),)),
         ]
-        rates = max_min_fair(flows, caps, method=method)
+        rates = FILLS[fill](flows, caps)
         assert rates["f0"] == pytest.approx(10.0 / 3)
         assert rates["f1"] == pytest.approx(10.0 / 3)
 
-    @pytest.mark.parametrize("method", ["scalar", "vector"])
-    def test_rates_returned_in_input_order(self, method):
+    @pytest.mark.parametrize("fill", ["scalar", "vector"])
+    def test_rates_returned_in_input_order(self, fill):
         """Regression: rates must be inserted in input (flow) order, not
         set-iteration order — downstream float sums over rates.values()
         would otherwise vary with PYTHONHASHSEED, flipping exact ties in
         assign_flows between processes."""
         flows, caps = random_case(11)
-        rates = max_min_fair(flows, caps, method=method)
+        rates = FILLS[fill](flows, caps)
         assert list(rates) == [flow.name for flow in flows]
 
 
@@ -152,30 +161,45 @@ def grouped_case(seed):
     return paths, counts, caps, members
 
 
-def claimants(paths, counts):
-    """One flow per tunnel, crossing its path once per member."""
+def counted(paths, counts):
+    """One claimant per tunnel, counting its members."""
+    return [
+        FluidFlow(t, FluidFlow.from_path(t, path).links, count=counts[t])
+        for t, path in paths.items()
+    ]
+
+
+def repeated(paths, counts):
+    """The reference shape: one flow crossing its tunnel's path once per
+    member, which both fills charge exactly as the members."""
     return [
         FluidFlow(t, FluidFlow.from_path(t, path).links * counts[t])
         for t, path in paths.items()
     ]
 
 
-class TestRepeatedPathClaimant:
-    """``m`` flows on one path get exactly the rate of one flow crossing
-    that path ``m`` times: both fills charge a link once per traversal
-    with integer usage sums, and a flow gains each round's increment
-    once, as every member does.  ``assign_flows`` relies on this to
-    solve one claimant per used tunnel."""
+class TestCountedClaimant:
+    """``m`` flows on one path get exactly the rate of one claimant of
+    ``count=m`` on it (and of one flow crossing that path ``m`` times):
+    both fills charge a link once per traversal per member with integer
+    usage sums, and a claimant gains each round's increment once, as
+    every member does.  ``assign_flows`` relies on this to solve one
+    claimant per used tunnel."""
 
-    @pytest.mark.parametrize("method", ["scalar", "vector", "auto"])
+    @pytest.mark.parametrize("fill", ["scalar", "vector", "auto"])
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_members_get_the_claimant_rate(self, method, seed):
+    def test_members_get_the_claimant_rate(self, fill, seed):
         paths, counts, caps, members = grouped_case(seed)
-        per_member = max_min_fair(members, caps, method=method)
-        grouped = max_min_fair(claimants(paths, counts), caps, method=method)
+        solve = FILLS[fill]
+        per_member = solve(members, caps)
+        by_count = solve(counted(paths, counts), caps)
+        by_repeat = solve(repeated(paths, counts), caps)
+        assert [rate.hex() for rate in by_count.values()] == [
+            rate.hex() for rate in by_repeat.values()
+        ]
         assert [rate.hex() for rate in per_member.values()] == [
-            grouped[flow.name.split("#")[0]].hex() for flow in members
+            by_count[flow.name.split("#")[0]].hex() for flow in members
         ]
 
     def test_cases_cross_the_vector_threshold(self):
@@ -185,17 +209,19 @@ class TestRepeatedPathClaimant:
         assert min(sizes) < _VECTOR_MIN_FLOWS <= max(sizes)
 
     def test_weighted_claimant_is_not_the_same(self):
-        """The weighted form (one claimant at weight ``m``, its rate
+        """The weighted form (one claimant at ``weight=m``, its rate
         divided by ``m``) scales each increment by ``m`` and rounds
         differently; on this instance it is one ulp off, so it cannot
-        stand in for the repeated path."""
+        stand in for the count."""
         paths, counts, caps, members = grouped_case(0)
         per_member = max_min_fair(members, caps)
-        grouped = max_min_fair(claimants(paths, counts), caps)
+        grouped = max_min_fair(counted(paths, counts), caps)
         weighted = max_min_fair(
-            [FluidFlow.from_path(t, path) for t, path in paths.items()],
+            [
+                FluidFlow(c.name, c.links, weight=c.count)
+                for c in counted(paths, counts)
+            ],
             caps,
-            weights=counts,
         )
         member = per_member["T1#0"]
         assert counts["T1"] == 27
@@ -265,8 +291,8 @@ class TestDirectedCapacities:
 
 
 class TestRelativeEpsilonSaturation:
-    @pytest.mark.parametrize("method", ["scalar", "vector"])
-    def test_large_capacity_grid_fully_allocates(self, method):
+    @pytest.mark.parametrize("fill", ["scalar", "vector"])
+    def test_large_capacity_grid_fully_allocates(self, fill):
         """Regression: with huge capacities the float residue of
         ``remaining -= inc * users`` exceeds any absolute epsilon (here
         link A retains 128.0 after its saturating round), so under the
@@ -281,13 +307,13 @@ class TestRelativeEpsilonSaturation:
             FluidFlow(name="f3", links=(("x", "a"),)),
             FluidFlow(name="f4", links=(("x", "a"),)),
         ]
-        rates = max_min_fair(flows, caps, method=method)
+        rates = FILLS[fill](flows, caps)
         assert rates["f1"] == pytest.approx(6e17, rel=1e-6)
         for name in ("f2", "f3", "f4"):
             assert rates[name] == pytest.approx(cap_a / 3, rel=1e-6)
 
-    @pytest.mark.parametrize("method", ["scalar", "vector"])
-    def test_terminates_on_degenerate_capacities(self, method):
+    @pytest.mark.parametrize("fill", ["scalar", "vector"])
+    def test_terminates_on_degenerate_capacities(self, fill):
         """Zero-ish and astronomically mixed capacities must terminate
         deterministically (the underflow break), never spin."""
         caps = {("x", "a"): 1e-15, ("x", "b"): 1e18}
@@ -295,7 +321,7 @@ class TestRelativeEpsilonSaturation:
             FluidFlow(name="tiny", links=(("x", "a"), ("x", "b"))),
             FluidFlow(name="big", links=(("x", "b"),)),
         ]
-        rates = max_min_fair(flows, caps, method=method)
+        rates = FILLS[fill](flows, caps)
         assert rates["tiny"] == pytest.approx(0.0, abs=1e-9)
         assert rates["big"] == pytest.approx(1e18, rel=1e-6)
 

@@ -1,4 +1,4 @@
-"""CRT, PolkaDomain and multipath tests — including the paper's
+"""CRT and PolkaDomain tests — including the paper's
 Fig. 1 worked example, reproduced bit-for-bit."""
 
 import networkx as nx
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.polka import (
-    MultipathDomain,
     PolkaDomain,
     PolkaNode,
     assign_node_ids,
@@ -189,36 +188,6 @@ class TestRandomTopologies:
         route = domain.route_for_path(path)
         decisions = domain.walk(route)  # raises on divergence
         assert len(decisions) == len(path) - 1
-
-
-class TestMultipath:
-    def test_tree_forwarding(self):
-        adj = {
-            "a": {"b": 0, "c": 1},
-            "b": {"d": 0},
-            "c": {"d": 0},
-        }
-        dom = MultipathDomain(adj)
-        route = dom.route_for_tree({"a": ["b", "c"], "b": ["d"], "c": ["d"]})
-        assert dom.forward("a", route) == {"b", "c"}
-        assert dom.forward("b", route) == {"d"}
-        assert dom.forward("c", route) == {"d"}
-
-    def test_single_path_degenerates_to_unicast(self):
-        adj = {"a": {"b": 0}, "b": {"c": 0}}
-        dom = MultipathDomain(adj)
-        route = dom.route_for_tree({"a": ["b"], "b": ["c"]})
-        assert dom.forward("a", route) == {"b"}
-
-    def test_unknown_successor(self):
-        dom = MultipathDomain({"a": {"b": 0}})
-        with pytest.raises(KeyError):
-            dom.route_for_tree({"a": ["zz"]})
-
-    def test_empty_tree(self):
-        dom = MultipathDomain({"a": {"b": 0}})
-        with pytest.raises(ValueError):
-            dom.route_for_tree({})
 
 
 class TestAssignNodeIds:

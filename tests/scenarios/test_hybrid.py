@@ -20,7 +20,7 @@ import json
 import pytest
 
 from repro.net.background import BackgroundEpoch
-from repro.net.fluid import max_min_fair_bounded
+from repro.net.fluid import FluidFlow, max_min_fair_bounded
 from repro.scenarios import (
     FlowClassSpec,
     ScenarioRunner,
@@ -150,6 +150,33 @@ class TestSolveEpochs:
         assert rates["tcp"] == pytest.approx(8.0)
         assert "probe" not in rates  # instrument, not load
         assert solves[0].overlaps["probe"] == pytest.approx(10.0)
+
+    def test_each_record_is_built_once_and_reused(self, monkeypatch):
+        """A flow's claimant, its rate cap as the bound, is built once
+        per run; every epoch that solves the flow gets that record."""
+        import repro.scenarios.hybrid as hybrid
+
+        seen = []
+        solve = hybrid.max_min_fair_bounded
+
+        def spy(claimants, capacities):
+            seen.append(list(claimants))
+            return solve(claimants, capacities)
+
+        monkeypatch.setattr(hybrid, "max_min_fair_bounded", spy)
+        spans = {"udp": (0.0, 10.0), "tcp": (2.0, 10.0),
+                 "probe": (0.0, 10.0)}
+        paths = {name: ("a", "b") for name in spans}
+        solve_epochs(
+            spans, paths, self.CAPS, {"udp": 2.0}, {"probe"}, (),
+            [0.0, 2.0, 6.0, 10.0],
+        )
+        assert [[c.name for c in epoch] for epoch in seen] == [
+            ["udp"], ["udp", "tcp"], ["udp", "tcp"]
+        ]
+        assert seen[0][0] is seen[1][0] is seen[2][0]
+        assert seen[1][1] is seen[2][1]
+        assert seen[0][0].bound == 2.0 and seen[1][1].bound is None
 
     def test_failure_blacks_out_crossing_flows(self):
         from repro.scenarios.failures import FailureEvent
@@ -313,24 +340,26 @@ class TestHybridRunner:
 
 
 class TestWeightedSolver:
-    """``max_min_fair_bounded(..., weights=)``: a class entry of integer
-    weight k is exactly k unit flows riding the same path."""
+    """``max_min_fair_bounded`` over weighted claimants: a class claimant
+    of integer weight k is exactly k unit flows riding the same path."""
 
     CAPS = {("a", "b"): 8.0, ("b", "c"): 100.0}
 
     def test_integer_weight_equals_duplicated_unit_flows(self):
         weighted = max_min_fair_bounded(
-            {"fg": ["a", "b"], "class:0": ["a", "b", "c"]},
+            [
+                FluidFlow.from_path("fg", ["a", "b"]),
+                FluidFlow("class:0", (("a", "b"), ("b", "c")), weight=3.0),
+            ],
             self.CAPS,
-            bounds={},
-            weights={"fg": 1.0, "class:0": 3.0},
         )
         unit = max_min_fair_bounded(
-            {"fg": ["a", "b"], "m0": ["a", "b", "c"],
-             "m1": ["a", "b", "c"], "m2": ["a", "b", "c"]},
+            [FluidFlow.from_path("fg", ["a", "b"])]
+            + [
+                FluidFlow.from_path(f"m{i}", ["a", "b", "c"])
+                for i in range(3)
+            ],
             self.CAPS,
-            bounds={},
-            weights={},  # default weight 1 everywhere
         )
         # the bottleneck (a,b) splits 1:3 — one share to fg, three to
         # the class; the class total equals the sum of the three mice
@@ -341,25 +370,22 @@ class TestWeightedSolver:
         assert weighted["fg"] == pytest.approx(2.0)
         assert weighted["class:0"] == pytest.approx(6.0)
 
+    @staticmethod
+    def _with_class(**fields):
+        return [
+            FluidFlow.from_path("fg", ["a", "b"]),
+            FluidFlow("class:0", (("a", "b"),), **fields),
+        ]
+
     def test_fractional_weight_scales_the_share(self):
         # a half-populated class (time-averaged 0.5 concurrent members)
         # claims half a fair share
-        rates = max_min_fair_bounded(
-            {"fg": ["a", "b"], "class:0": ["a", "b"]},
-            self.CAPS,
-            bounds={},
-            weights={"class:0": 0.5},
-        )
+        rates = max_min_fair_bounded(self._with_class(weight=0.5), self.CAPS)
         assert rates["fg"] == pytest.approx(8.0 / 1.5)
         assert rates["class:0"] == pytest.approx(0.5 * 8.0 / 1.5)
 
     def test_zero_weight_class_gets_nothing_and_claims_nothing(self):
-        rates = max_min_fair_bounded(
-            {"fg": ["a", "b"], "class:0": ["a", "b"]},
-            self.CAPS,
-            bounds={},
-            weights={"class:0": 0.0},
-        )
+        rates = max_min_fair_bounded(self._with_class(weight=0.0), self.CAPS)
         assert rates["class:0"] == 0.0
         assert rates["fg"] == pytest.approx(8.0)
 
@@ -367,10 +393,7 @@ class TestWeightedSolver:
         # a CBR-bounded class pins at its aggregate ceiling; the elastic
         # foreground flow soaks up the rest of the bottleneck
         rates = max_min_fair_bounded(
-            {"fg": ["a", "b"], "class:0": ["a", "b"]},
-            self.CAPS,
-            bounds={"class:0": 1.0},
-            weights={"class:0": 2.0},
+            self._with_class(weight=2.0, bound=1.0), self.CAPS
         )
         assert rates["class:0"] == pytest.approx(1.0)
         assert rates["fg"] == pytest.approx(7.0)

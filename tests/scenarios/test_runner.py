@@ -55,12 +55,14 @@ class TestFluidBackend:
     def test_udp_rate_caps_leave_capacity_to_elastic_flows(self):
         """Bounded max-min: a 2 Mbps CBR flow must not pin a co-bottlenecked
         TCP flow to half the link."""
-        from repro.net.fluid import max_min_fair_bounded
+        from repro.net.fluid import FluidFlow, max_min_fair_bounded
 
         rates = max_min_fair_bounded(
-            {"udp": ("a", "b"), "tcp": ("a", "b")},
+            [
+                FluidFlow.from_path("udp", ("a", "b"), bound=2.0),
+                FluidFlow.from_path("tcp", ("a", "b")),
+            ],
             {("a", "b"): 50.0},
-            {"udp": 2.0},
         )
         assert rates["udp"] == pytest.approx(2.0)
         assert rates["tcp"] == pytest.approx(48.0)

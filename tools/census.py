@@ -43,11 +43,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 #: ROADMAP names for it, or a probe tests observe or steer other
 #: behaviour through
 ALLOW: Dict[str, str] = {
-    "repro.hecate.rl": "seam: the carried online-RL path selector",
-    "repro.hecate.forecasters": (
-        "seam: item 3's persistence baseline (Valadarsky et al.)"
-    ),
-    "repro.polka.multipath": "seam: AMPF multipath splitting (PAPERS.md)",
     "repro.ml.tree.DecisionTreeRegressor.n_nodes_": (
         "probe: tree size under depth and leaf limits"
     ),
@@ -67,9 +62,6 @@ ALLOW: Dict[str, str] = {
         "probe: per-direction queue occupancy"
     ),
     "repro.ml.svm.SVR.support_": "probe: the support vectors a fit kept",
-    "repro.hecate.rl.QLearningPathSelector.accuracy_vs_oracle": (
-        "probe: the selector's agreement with the oracle path"
-    ),
     "repro.net.sim.Simulator.peek_time": (
         "probe: the next event time across both calendar tiers"
     ),
