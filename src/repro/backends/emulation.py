@@ -12,12 +12,14 @@ driver's raw iperf/ping-formatted text back into a
 The driver contract (see docs/BACKENDS.md) is deliberately narrow —
 ``run(plan) -> str`` — so a driver can be a Mininet harness, an SSH
 fan-out to a FABRIC slice, or the in-process
-:class:`MockEmulationDriver` shipped here, which computes deterministic
-max-min-fair rates from the plan's own topology and formats them as
-iperf/ping output.  The mock makes the whole adapter — compilation,
-driver dispatch, output parsing, reconciliation — testable in tier-1
-without a testbed, and doubles as the reference for what output real
-drivers must produce.
+:class:`MockEmulationDriver` shipped here, which runs the fluid
+backends' epoch pipeline (:func:`repro.backends.fluid.solve_inputs`,
+:func:`repro.scenarios.hybrid.solve_epochs`,
+:func:`repro.backends.fluid.delivered_from`) on the plan's own topology
+and host paths and formats the numbers as iperf/ping output.  The mock
+makes the whole adapter — compilation, driver dispatch, output parsing,
+reconciliation — testable in tier-1 without a testbed, and doubles as
+the reference for what output real drivers must produce.
 
 Flow placement reuses the fluid backend's assignment
 (:func:`repro.backends.fluid.assign_fluid` — the Controller's own
@@ -33,7 +35,9 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.net.fluid import FluidFlow, link_capacities, max_min_fair_bounded
+from repro.net.fluid import link_capacities
+from repro.scenarios.failures import FailureEvent
+from repro.scenarios.hybrid import solve_epochs
 from repro.scenarios.result import ScenarioResult
 
 from .base import (
@@ -42,7 +46,7 @@ from .base import (
     RunContext,
     register_backend,
 )
-from .fluid import assign_fluid
+from .fluid import assign_fluid, delivered_from, solve_inputs
 
 __all__ = [
     "FlowCommand",
@@ -78,13 +82,10 @@ class FlowCommand:
 
 
 @dataclass(frozen=True)
-class FailureCue:
-    """One link-state change the driver must apply at ``at`` seconds."""
+class FailureCue(FailureEvent):
+    """One link-state change the driver must apply at ``at`` seconds,
+    with its rendered reference command."""
 
-    at: float
-    action: str  # "fail" | "restore"
-    a: str
-    b: str
     command: str
 
 
@@ -209,99 +210,44 @@ def compile_plan(context: RunContext) -> CommandPlan:
 # --------------------------------------------------------------- the mock
 
 
-def _down_intervals(
-    plan: CommandPlan,
-) -> Dict[Tuple[str, str], List[Tuple[float, float]]]:
-    """Per-link outage windows [fail, restore) from the failure cues."""
-    down: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-    open_at: Dict[Tuple[str, str], float] = {}
-    for cue in sorted(plan.failures, key=lambda c: (c.at, c.a, c.b)):
-        key = (cue.a, cue.b) if cue.a < cue.b else (cue.b, cue.a)
-        if cue.action == "fail":
-            open_at.setdefault(key, cue.at)
-        elif key in open_at:
-            down.setdefault(key, []).append((open_at.pop(key), cue.at))
-    for key, start in open_at.items():
-        down.setdefault(key, []).append((start, plan.horizon))
-    return down
-
-
-def _is_down(
-    path: Tuple[str, ...],
-    at: float,
-    down: Dict[Tuple[str, str], List[Tuple[float, float]]],
-) -> bool:
-    for a, b in zip(path[:-1], path[1:]):
-        key = (a, b) if a < b else (b, a)
-        for start, end in down.get(key, ()):
-            if start <= at < end:
-                return True
-    return False
-
-
 class MockEmulationDriver:
     """Deterministic in-process stand-in for a real testbed driver.
 
-    Computes each epoch's max-min fair rates
-    (:func:`repro.net.fluid.max_min_fair_bounded`) from the plan's own
-    topology and source-routed paths — no simulator, no wall clock, no
-    randomness — then renders the numbers in the iperf/ping text format
-    real drivers produce.  Flows crossing a failed link receive nothing
-    for the outage window; UDP reports the equivalent datagram loss.
+    Solves the plan on the fluid backends' epoch pipeline
+    (:func:`repro.scenarios.hybrid.solve_epochs`) over the plan's own
+    topology and host-to-host source-routed paths — no simulator, no
+    wall clock, no randomness — then renders the numbers in the
+    iperf/ping text format real drivers produce.  Epoch edges are the
+    flow starts/stops and cue instants, exact and never coalesced.
+    Flows crossing a failed link receive nothing for the outage window;
+    UDP reports the equivalent datagram loss, ping the lost echoes.
     """
 
     def run(self, plan: CommandPlan) -> str:
         capacities: Dict[Tuple[str, str], float] = {}
         delays: Dict[Tuple[str, str], float] = {}
         for a, b, rate_mbps, delay_ms in plan.links:
-            capacities[(a, b)] = rate_mbps
-            capacities[(b, a)] = rate_mbps
-            delays[(a, b)] = delay_ms
-            delays[(b, a)] = delay_ms
-        down = _down_intervals(plan)
+            capacities[(a, b)] = capacities[(b, a)] = rate_mbps
+            delays[(a, b)] = delays[(b, a)] = delay_ms
         horizon = plan.horizon
-
-        spans = {
-            f.flow_name: (
-                min(f.start_at, horizon),
-                min(f.start_at + f.duration, horizon),
-            )
-            for f in plan.flows
-        }
+        offered = (*plan.flows, *plan.probes)
+        paths = {f.flow_name: f.path for f in offered}
+        spans, rate_caps, probes = solve_inputs(offered, paths, horizon)
         edges = {0.0, horizon}
-        edges.update(t for span in spans.values() for t in span)
+        edges.update(t for f in plan.flows for t in spans[f.flow_name])
         edges.update(c.at for c in plan.failures if 0.0 < c.at < horizon)
-        grid = sorted(edges)
-
-        by_name = {f.flow_name: f for f in plan.flows}
-        # each flow's claimant, a UDP sender's rate as its bound
-        records = {
-            f.flow_name: FluidFlow.from_path(
-                f.flow_name,
-                f.path,
-                bound=(f.rate_mbps or None) if f.protocol == "udp" else None,
-            )
-            for f in plan.flows
-        }
-        delivered = {name: 0.0 for name in spans}
-        outage_s = {name: 0.0 for name in spans}
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            if t1 <= t0:
-                continue
-            active = [
-                name
-                for name, (s0, s1) in spans.items()
-                if s0 < t1 and s1 > t0
-            ]
-            live = []
-            for name in active:
-                if _is_down(by_name[name].path, t0, down):
-                    outage_s[name] += t1 - t0
-                else:
-                    live.append(records[name])
-            rates = max_min_fair_bounded(live, capacities)
-            for name, rate in rates.items():
-                delivered[name] += rate * (t1 - t0)
+        # solve_epochs replays cues in the order given; (at, a, b) is the
+        # mock's order, so a fail and a restore of one link at one
+        # instant resolve by their spelling before the plan's order
+        cues = sorted(plan.failures, key=lambda c: (c.at, c.a, c.b))
+        solves = solve_epochs(
+            spans, paths, capacities, rate_caps, probes, cues, sorted(edges)
+        )
+        delivered, _ = delivered_from(solves, set(spans) - probes)
+        outage_s = dict.fromkeys(spans, 0.0)
+        for solve in solves:
+            for name in solve.blacked:
+                outage_s[name] += solve.overlaps[name]
 
         lines = [
             f"=== emulation scenario={plan.scenario} seed={plan.seed} "
@@ -347,16 +293,10 @@ class MockEmulationDriver:
                     f"{mbps:.3f} Mbits/sec"
                 )
         for probe in plan.probes:
-            s0 = min(probe.start_at, horizon)
-            s1 = min(probe.start_at + probe.duration, horizon)
+            s0, s1 = spans[probe.flow_name]
             span = s1 - s0
             sent = max(1, int(span))
-            outage = 0.0
-            for t0, t1 in zip(grid[:-1], grid[1:]):
-                if t0 >= s1 or t1 <= s0:
-                    continue
-                if _is_down(probe.path, t0, down):
-                    outage += min(t1, s1) - max(t0, s0)
+            outage = outage_s[probe.flow_name]
             lost = int(round(sent * (outage / span))) if span > 0 else sent
             received = sent - lost
             loss_pct = int(round(100.0 * lost / sent))
@@ -401,8 +341,10 @@ def parse_driver_output(
     """Parse raw driver text into (per-flow Mbps, latency samples, drops).
 
     Reconciliation is strict: every flow and probe in the plan must have
-    a report section in the output, otherwise the driver lost a flow and
-    the run cannot be trusted — ``ValueError``, not a silent 0.
+    exactly one report section, and a probe's a ping summary and, unless
+    no echo came back (real ping prints none then), an ``rtt`` line;
+    otherwise the driver lost or garbled a report and the run cannot be
+    trusted — ``ValueError`` naming the section, not a silent 0.
     """
     sections: Dict[str, List[str]] = {}
     current: Optional[str] = None
@@ -410,6 +352,8 @@ def parse_driver_output(
         header = _FLOW_HEADER.match(line)
         if header:
             current = header.group(2)
+            if current in sections:
+                raise ValueError(f"driver output repeats section {current!r}")
             sections[current] = []
         elif current is not None:
             sections[current].append(line)
@@ -446,11 +390,14 @@ def parse_driver_output(
         text = "\n".join(body)
         per_flow[probe.flow_name] = 0.0
         loss = _PING_LOSS.search(text)
-        if loss:
-            drops += int(loss.group(1)) - int(loss.group(2))
+        if loss is None:
+            raise ValueError(f"no ping summary for probe {probe.flow_name!r}")
+        drops += int(loss.group(1)) - int(loss.group(2))
         rtt = _PING_RTT.search(text)
         if rtt:
             latencies.append(float(rtt.group(2)))
+        elif int(loss.group(2)) > 0:
+            raise ValueError(f"no rtt line for probe {probe.flow_name!r}")
     return per_flow, latencies, drops
 
 

@@ -8,14 +8,26 @@ candidate rule the packet-level Controller uses
 fair rates come from :func:`repro.net.fluid.max_min_fair` — the
 steady state the packet level should approximate.
 
-``solve_inputs`` and ``delivered_from`` are module functions because the
-hybrid backend shares them for its background class; they take the
-prepared :class:`~repro.backends.base.RunContext`.
+``solve_inputs``, ``delivered_from`` and ``fluid_flows`` are module
+functions because the other backends share them: the hybrid backend
+solves and scores its per-flow background with all three, and the
+emulation mock driver solves a command plan's host paths with the first
+two (``solve_inputs`` reads plan commands and flow requests alike).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -34,12 +46,15 @@ from .base import (
     register_backend,
 )
 
+if TYPE_CHECKING:
+    from .emulation import FlowCommand
+
 __all__ = [
     "FluidBackend",
     "assign_fluid",
     "solve_inputs",
     "delivered_from",
-    "fluid_qoe",
+    "fluid_flows",
 ]
 
 
@@ -68,7 +83,7 @@ def assign_fluid(
     same candidates differently — on static forecasts in candidate
     order: rate = the tunnel's bottleneck shared across the group,
     latency = the path's propagation delay, utilization, jitter and
-    loss zero (the optimistic no-queue model ``fluid_qoe`` reports
+    loss zero (the optimistic no-queue model ``fluid_flows`` reports
     with).  Unknown objectives raise the registry's ``KeyError``.
 
     Returns (flow -> router path, migrations off the default tunnel,
@@ -124,29 +139,19 @@ def assign_fluid(
 
 
 def solve_inputs(
-    context: RunContext,
-    paths: Dict[str, Tuple[str, ...]],
-    requests: Optional[Sequence[FlowRequest]] = None,
-) -> Tuple[
-    Dict[str, Tuple[float, float]],
-    Dict[str, float],
-    Set[str],
-    Tuple[float, ...],
-]:
-    """The epoch solver's workload view, shared by the fluid and
-    hybrid backends: per-flow horizon-clamped spans (placed flows
-    only), CBR rate caps, the ICMP probe set, and phase fractions.
-    ``requests`` restricts the view to a subset of the offered
-    flows (aggregate-mice mode passes the foreground only; the
-    background never exists per-flow there).
+    requests: Sequence[Union[FlowRequest, "FlowCommand"]],
+    paths: Mapping[str, Tuple[str, ...]],
+    horizon: float,
+) -> Tuple[Dict[str, Tuple[float, float]], Dict[str, float], Set[str]]:
+    """The epoch solver's workload view of ``requests``: per-flow
+    horizon-clamped spans (placed flows only, in offered order), CBR
+    rate caps and the ICMP probe set.  Callers pass the flows that exist
+    per-flow (aggregate-mice mode: the foreground only).
 
     ICMP probes send a packet per second — inelastic, negligible
     load; modelling them as elastic flows would credit them with
     the whole path capacity (DES reports them at 0 Mbps too).
     """
-    if requests is None:
-        requests = context.requests
-    horizon = context.scenario.horizon
     spans = {
         r.flow_name: (
             min(r.start_at, horizon),
@@ -161,12 +166,7 @@ def solve_inputs(
         if r.protocol == "udp" and r.rate_mbps
     }
     probes = {r.flow_name for r in requests if r.protocol == "icmp"}
-    phase_fracs = (
-        tuple(p.at_frac for p in context.scenario.phases)
-        if context.scenario.phases is not None
-        else ()
-    )
-    return spans, rate_caps, probes, phase_fracs
+    return spans, rate_caps, probes
 
 
 def delivered_from(
@@ -190,12 +190,16 @@ def delivered_from(
     return delivered, outages
 
 
-def fluid_qoe(
+def fluid_flows(
     context: RunContext,
-    per_flow: Dict[str, float],
-    paths: Dict[str, Tuple[str, ...]],
-) -> Tuple[Dict[str, float], float, int]:
-    """Per-class QoE from fluid rates and propagation delays.
+    delivered: Mapping[str, float],
+    spans: Mapping[str, Tuple[float, float]],
+    paths: Mapping[str, Tuple[str, ...]],
+    names: Sequence[str],
+) -> Tuple[Dict[str, float], List[float], List[Tuple[str, FlowQoSSample]]]:
+    """Each named flow's span-averaged rate, path delay and QoE sample,
+    in ``names`` order (the callers' means and QoE folds are
+    order-sensitive).
 
     The fluid model has no queues, so each flow's sample is its epoch-
     average rate plus the path's propagation delay with zero jitter and
@@ -205,20 +209,22 @@ def fluid_qoe(
     """
     assert context.network is not None
     classes = {r.flow_name: r.app_class for r in context.requests}
-    samples = [
-        (
-            classes.get(name, "generic"),
-            FlowQoSSample(
-                rate_mbps=rate,
-                latency_ms=context.network.path_delay_ms(
-                    list(paths[name])
-                ),
-            ),
+    per_flow: Dict[str, float] = {}
+    latencies: List[float] = []
+    samples: List[Tuple[str, FlowQoSSample]] = []
+    for name in names:
+        start, end = spans[name]
+        rate = delivered[name] / (end - start) if end > start else 0.0
+        delay = context.network.path_delay_ms(list(paths[name]))
+        per_flow[name] = rate
+        latencies.append(delay)
+        samples.append(
+            (
+                classes.get(name, "generic"),
+                FlowQoSSample(rate_mbps=rate, latency_ms=delay),
+            )
         )
-        for name, rate in per_flow.items()
-        if name in paths
-    ]
-    return aggregate_qoe(samples)
+    return per_flow, latencies, samples
 
 
 @register_backend
@@ -247,7 +253,10 @@ class FluidBackend(ExecutionBackend):
         horizon = scenario.horizon
         capacities = link_capacities(context.network)
         paths, migrations, unplaced = assign_fluid(context, capacities)
-        spans, rate_caps, probes, phase_fracs = solve_inputs(context, paths)
+        spans, rate_caps, probes = solve_inputs(
+            context.requests, paths, horizon
+        )
+        phase_fracs = tuple(p.at_frac for p in scenario.phases or ())
 
         boundaries = {0.0, horizon}
         boundaries.update(t for span in spans.values() for t in span)
@@ -277,18 +286,10 @@ class FluidBackend(ExecutionBackend):
         )
         delivered, outages = delivered_from(solves, set(spans))
 
-        per_flow = {
-            name: delivered[name] / (span[1] - span[0])
-            if span[1] > span[0] else 0.0
-            for name, span in spans.items()
-        }
-        latencies = [
-            context.network.path_delay_ms(list(paths[name]))
-            for name in spans
-        ]
-        qoe_per_class, mean_qoe, qoe_flows = fluid_qoe(
-            context, per_flow, paths
+        per_flow, latencies, samples = fluid_flows(
+            context, delivered, spans, paths, list(spans)
         )
+        qoe_per_class, mean_qoe, qoe_flows = aggregate_qoe(samples)
         self._result = ScenarioResult(
             scenario=scenario.name,
             backend="fluid",

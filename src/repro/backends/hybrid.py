@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.net.background import install_background_schedule
 from repro.net.fluid import link_capacities
-from repro.net.qoe import FlowQoSSample, aggregate_qoe
+from repro.net.qoe import aggregate_qoe
 from repro.scenarios.hybrid import (
     aggregate_background,
     assign_class_paths,
@@ -39,7 +39,7 @@ from repro.scenarios.result import ScenarioResult
 
 from .base import BackendCapabilities, ExecutionBackend, register_backend
 from .des import des_drop_count, des_flow_metrics, des_qoe_samples
-from .fluid import delivered_from, solve_inputs
+from .fluid import delivered_from, fluid_flows, solve_inputs
 
 __all__ = ["HybridBackend"]
 
@@ -108,9 +108,10 @@ class HybridBackend(ExecutionBackend):
             )
             paths.update(bg_paths)
             per_flow_requests = context.requests
-        spans, rate_caps, probes, phase_fracs = solve_inputs(
-            context, paths, per_flow_requests
+        spans, rate_caps, probes = solve_inputs(
+            per_flow_requests, paths, horizon
         )
+        phase_fracs = tuple(p.at_frac for p in scenario.phases or ())
         edges = epoch_edges(
             horizon, context.failure_plan, phase_fracs, scenario.classes
         )
@@ -149,23 +150,12 @@ class HybridBackend(ExecutionBackend):
             )
             bg_flows = len(bg_delivered)
             background_mbps = float(sum(bg_delivered.values()) / horizon)
-            # background flows score QoE from their fluid rate plus
-            # propagation delay (zero jitter/loss — the optimistic
-            # fluid bound)
-            classes = {r.flow_name: r.app_class for r in context.requests}
-            for name, total in bg_delivered.items():
-                start, end = spans[name]
-                per_flow[name] = total / (end - start) if end > start else 0.0
-                delay = network.path_delay_ms(list(paths[name]))
-                latencies.append(delay)
-                qoe_samples.append(
-                    (
-                        classes.get(name, "generic"),
-                        FlowQoSSample(
-                            rate_mbps=per_flow[name], latency_ms=delay
-                        ),
-                    )
-                )
+            bg_rates, bg_latencies, bg_samples = fluid_flows(
+                context, bg_delivered, spans, paths, list(bg_delivered)
+            )
+            per_flow.update(bg_rates)
+            latencies.extend(bg_latencies)
+            qoe_samples.extend(bg_samples)
             mean_latency = float(np.mean(latencies)) if latencies else 0.0
             max_latency = float(max(latencies)) if latencies else 0.0
         else:

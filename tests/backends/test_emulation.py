@@ -1,5 +1,7 @@
 """Emulation bridge: plan compilation, mock driver, strict parsing."""
 
+import dataclasses
+
 import pytest
 
 from repro.backends.emulation import (
@@ -51,6 +53,31 @@ def _tiny_plan(protocol="udp", rate_mbps=8.0, failures=()):
         probes=(),
         failures=tuple(failures),
         failure_events=len(failures),
+    )
+
+
+def _probe_plan():
+    """The one-flow plan plus a ping probe ``p0`` on the same path."""
+    plan = _tiny_plan(protocol="tcp")
+    probe = FlowCommand(
+        flow_name="p0",
+        src="h0",
+        dst="h1",
+        protocol="icmp",
+        start_at=0.0,
+        duration=10.0,
+        rate_mbps=None,
+        path=("h0", "r0", "r1", "h1"),
+        command="ping -c 10 -i 1 h1",
+    )
+    return dataclasses.replace(plan, probes=(probe,))
+
+
+def _flow_report(mbps=20.0):
+    return (
+        "--- flow u0 tcp h0 > h1 via h0>r0>r1>h1 ---\n"
+        f"[  3]  0.0-10.0 sec  {mbps * 10 / 8:.2f} MBytes  "
+        f"{mbps:.3f} Mbits/sec\n"
     )
 
 
@@ -137,17 +164,18 @@ class TestMockDriver:
 
     def test_each_flow_record_is_built_once(self, monkeypatch):
         """The UDP sender's rate is its claimant's bound, and the epochs
-        on either side of an outage solve the same record."""
-        import repro.backends.emulation as emulation
+        on either side of an outage solve the same record (the dark
+        epoch between them has no claimant, so no solve)."""
+        import repro.scenarios.hybrid as hybrid
 
         seen = []
-        solve = emulation.max_min_fair_bounded
+        solve = hybrid.max_min_fair_bounded
 
         def spy(claimants, capacities):
             seen.append(list(claimants))
             return solve(claimants, capacities)
 
-        monkeypatch.setattr(emulation, "max_min_fair_bounded", spy)
+        monkeypatch.setattr(hybrid, "max_min_fair_bounded", spy)
         cues = (
             FailureCue(at=2.0, action="fail", a="r0", b="r1",
                        command="link down r0 r1 @ 2s"),
@@ -155,10 +183,9 @@ class TestMockDriver:
                        command="link up r0 r1 @ 4s"),
         )
         MockEmulationDriver().run(_tiny_plan(protocol="udp", failures=cues))
-        live = [epoch[0] for epoch in seen if epoch]
-        assert [len(epoch) for epoch in seen] == [1, 0, 1]
-        assert live[0] is live[1]
-        assert live[0].bound == 8.0
+        assert [len(epoch) for epoch in seen] == [1, 1]
+        assert seen[0][0] is seen[1][0]
+        assert seen[0][0].bound == 8.0
 
     def test_rates_respect_the_bottleneck(self):
         plan = _tiny_plan(protocol="tcp")
@@ -187,6 +214,43 @@ class TestParserReconciliation:
         plan = compile_plan(runner)
         with pytest.raises(ValueError, match="missing probe"):
             parse_driver_output(plan, "=== emulation ===\n")
+
+    def test_probe_without_ping_summary_raises(self):
+        plan = _probe_plan()
+        raw = _flow_report() + (
+            "--- probe p0 icmp h0 > h1 ---\n"
+            "rtt min/avg/max/mdev = 2.400/2.400/2.400/0.000 ms\n"
+        )
+        with pytest.raises(ValueError, match="no ping summary for probe 'p0'"):
+            parse_driver_output(plan, raw)
+
+    def test_probe_without_rtt_line_raises_when_replies_came_back(self):
+        plan = _probe_plan()
+        raw = _flow_report() + (
+            "--- probe p0 icmp h0 > h1 ---\n"
+            "10 packets transmitted, 7 received, 30% packet loss, "
+            "time 10000ms\n"
+        )
+        with pytest.raises(ValueError, match="no rtt line for probe 'p0'"):
+            parse_driver_output(plan, raw)
+
+    def test_probe_at_total_loss_needs_no_rtt_line(self):
+        plan = _probe_plan()
+        raw = _flow_report() + (
+            "--- probe p0 icmp h0 > h1 ---\n"
+            "10 packets transmitted, 0 received, 100% packet loss, "
+            "time 10000ms\n"
+        )
+        per_flow, latencies, drops = parse_driver_output(plan, raw)
+        assert per_flow["p0"] == 0.0
+        assert latencies == []
+        assert drops == 10
+
+    def test_repeated_section_raises(self):
+        plan = _tiny_plan(protocol="tcp")
+        raw = _flow_report(20.0) + _flow_report(99.0)
+        with pytest.raises(ValueError, match="repeats section 'u0'"):
+            parse_driver_output(plan, raw)
 
     def test_udp_report_numbers_are_parsed_exactly(self):
         plan = _tiny_plan(protocol="udp")
