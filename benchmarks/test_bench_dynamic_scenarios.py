@@ -64,7 +64,7 @@ def test_vectorized_solver_at_sweep_scale(benchmark):
         f"\n240-flow solve: scalar {scalar_s * 1e3:.1f} ms, "
         f"vector {vector_s * 1e3:.1f} ms ({scalar_s / vector_s:.0f}x)"
     )
-    # loose 2x bar (locally >50x) so shared CI runners never flake
+    # loose 2x bar: this solve measured 3-4x on a shared 2-core host
     assert vector_s < scalar_s / 2.0
 
 

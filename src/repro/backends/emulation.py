@@ -312,10 +312,11 @@ class MockEmulationDriver:
                 f"{sent} packets transmitted, {received} received, "
                 f"{loss_pct}% packet loss, time {int(span * 1000)}ms"
             )
-            lines.append(
-                f"rtt min/avg/max/mdev = "
-                f"{rtt:.3f}/{rtt:.3f}/{rtt:.3f}/0.000 ms"
-            )
+            if received > 0:  # ping prints no rtt line at 100 % loss
+                lines.append(
+                    f"rtt min/avg/max/mdev = "
+                    f"{rtt:.3f}/{rtt:.3f}/{rtt:.3f}/0.000 ms"
+                )
         return "\n".join(lines) + "\n"
 
 
@@ -341,17 +342,31 @@ def parse_driver_output(
     """Parse raw driver text into (per-flow Mbps, latency samples, drops).
 
     Reconciliation is strict: every flow and probe in the plan must have
-    exactly one report section, and a probe's a ping summary and, unless
-    no echo came back (real ping prints none then), an ``rtt`` line;
-    otherwise the driver lost or garbled a report and the run cannot be
-    trusted — ``ValueError`` naming the section, not a silent 0.
+    exactly one report section of its own kind (``flow`` or ``probe``),
+    no section may name anything else, and a probe's section needs a
+    ping summary and, unless no echo came back (real ping prints none
+    then), an ``rtt`` line; otherwise the driver lost or garbled a
+    report and the run cannot be trusted — ``ValueError`` naming the
+    section, not a silent 0.
     """
+    kinds = dict.fromkeys((f.flow_name for f in plan.flows), "flow")
+    kinds.update(dict.fromkeys((p.flow_name for p in plan.probes), "probe"))
     sections: Dict[str, List[str]] = {}
     current: Optional[str] = None
     for line in raw.splitlines():
         header = _FLOW_HEADER.match(line)
         if header:
-            current = header.group(2)
+            kind, current = header.group(1), header.group(2)
+            if current not in kinds:
+                raise ValueError(
+                    f"driver output has a {kind} section {current!r} "
+                    "the plan does not name"
+                )
+            if kind != kinds[current]:
+                raise ValueError(
+                    f"driver output reports {kinds[current]} {current!r} "
+                    f"as a {kind} section"
+                )
             if current in sections:
                 raise ValueError(f"driver output repeats section {current!r}")
             sections[current] = []

@@ -18,6 +18,10 @@ two fills selected by claimant count and weight:
 
 Both return bit-identical rates at unit weights, and
 :func:`max_min_fair_bounded` is the only pin-and-reshare loop on top.
+Of a round that caps some claimant, that loop uses only the capped set,
+so its fills stop as soon as the set is known (every still-active
+bounded claimant already over its bound); the rates it returns are
+those of the complete fills, bit for bit.
 
 Capacity keys are **directed** ``(a, b)`` node pairs.  Lookup tries the
 exact direction first and falls back to the reversed key, so legacy
@@ -161,12 +165,15 @@ def _canonicalize(
 def _fill_scalar(
     flow_uses: Dict[str, Dict[Tuple[str, str], int]],
     caps: Dict[Tuple[str, str], float],
+    bounds: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
     """Dict-based progressive filling at unit weights (the reference).
 
     A claimant consumes a link once per traversal per member — the
     multiplicity ``_canonicalize`` tallies, which the vectorized
     incidence matrix encodes too, so the two fills stay interchangeable.
+    With ``bounds`` (claimant name -> finite bound) the fill stops once
+    its capped set is known (see :func:`_fill`).
     """
     remaining = dict(caps)
     sat_eps = {link: _REL_EPS * max(1.0, cap) for link, cap in caps.items()}
@@ -205,12 +212,17 @@ def _fill_scalar(
             # rather than spinning on ever-smaller increments
             break
         active -= frozen
+        if bounds and any(rates[f] > b for f, b in bounds.items()) and all(
+            rates[f] > bounds[f] for f in active if f in bounds
+        ):
+            break
     return rates
 
 
 def _fill_vector(
     flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
+    stop_once_capped: bool = False,
 ) -> Dict[str, float]:
     """Vectorized progressive filling over a link x claimant incidence
     matrix.  Each round computes every link's active claim with one
@@ -220,7 +232,8 @@ def _fill_vector(
     weights.  A claimant grows at its ``weight`` times the common fill
     level, so a flow-class aggregate standing in for ``w`` identical
     flows claims exactly the share those ``w`` flows would have claimed
-    individually.
+    individually.  With ``stop_once_capped`` the fill stops once its
+    capped set is known (see :func:`_fill`).
     """
     flow_uses, caps = _canonicalize(flows, capacities)
     uses = list(flow_uses.values())
@@ -243,6 +256,11 @@ def _fill_vector(
     sat_eps = _REL_EPS * np.maximum(cap, 1.0)
     rates = np.zeros(n)
     active = weight > 0.0
+    if stop_once_capped:
+        bound = np.array(
+            [math.inf if flow.bound is None else flow.bound for flow in flows]
+        )
+        bounded = bound < math.inf
     # every round freezes at least one claimant or breaks, so <= n rounds
     for _ in range(n):
         growth = weight * active  # rate each claimant gains per unit of fill
@@ -262,21 +280,40 @@ def _fill_vector(
         active &= ~frozen
         if not active.any():
             break
+        if stop_once_capped:
+            over = rates > bound
+            if over.any() and not (active & bounded & ~over).any():
+                break
     return {name: float(rates[j]) for j, name in enumerate(flow_uses)}
 
 
 def _fill(
     flows: Sequence[FluidFlow],
     capacities: Mapping[Tuple[str, str], float],
+    stop_once_capped: bool = False,
 ) -> Dict[str, float]:
     """The scalar fill below :data:`_VECTOR_MIN_FLOWS` claimants of weight
-    exactly 1.0 (it has no weights), the vectorized fill otherwise."""
+    exactly 1.0 (it has no weights), the vectorized fill otherwise.
+
+    With ``stop_once_capped`` the fill returns as soon as some claimant
+    is over its bound and every still-active claimant with a finite
+    bound is over it too.  Rates only grow (the increment is clamped at
+    zero) and a frozen claimant's rate is final, so the set of claimants
+    with ``rate > bound`` is then the one the complete fill would give;
+    only that set is exact, the other rates are partial.  A fill in
+    which no claimant exceeds its bound runs to completion.
+    """
     if len(flows) < _VECTOR_MIN_FLOWS and all(
         flow.weight == 1.0  # repro-lint: disable=RL006
         for flow in flows
     ):
-        return _fill_scalar(*_canonicalize(flows, capacities))
-    return _fill_vector(flows, capacities)
+        bounds = {
+            flow.name: flow.bound
+            for flow in flows
+            if flow.bound is not None and flow.bound < math.inf
+        } if stop_once_capped else None
+        return _fill_scalar(*_canonicalize(flows, capacities), bounds)
+    return _fill_vector(flows, capacities, stop_once_capped)
 
 
 def max_min_fair(
@@ -317,16 +354,21 @@ def max_min_fair_bounded(
     per traversal, and the rest re-share the remainder — so elastic
     flows soak up what rigid ones leave, matching what AIMD does at
     packet level.  Converges in at most one round per bounded claimant.
-    A class claimant's weight is the number of its members active in
-    the epoch, so it claims what they would as individual flows.  A NaN
-    capacity raises (see :func:`max_min_fair`); a negative one means no
-    headroom, as in the fills.
+    A round that pins some claimant keeps nothing else of its fill, so
+    that fill stops once the pinned set is known (see :func:`_fill`);
+    only the last round, which pins none, fills to completion.  A class
+    claimant's weight is the number of its members active in the epoch,
+    so it claims what they would as individual flows.  A NaN capacity
+    raises (see :func:`max_min_fair`); a negative one means no headroom,
+    as in the fills.
     """
     rates: Dict[str, float] = {}
     remaining = dict(capacities)
     pending = list(flows)
     while pending:
-        fair = _fill(pending, remaining)
+        # stop_once_capped: of a round that caps some claimant only the
+        # capped set is used, so its fill stops once that set is known
+        fair = _fill(pending, remaining, True)
         capped = sorted(
             (flow.name, flow.bound, flow)
             for flow in pending
@@ -341,7 +383,8 @@ def max_min_fair_bounded(
                 # directed lookup, reversed fallback — the same key
                 # resolution the fills apply
                 key = hop if hop in remaining else (hop[1], hop[0])
-                remaining[key] = max(0.0, remaining[key] - rate * flow.count)
+                left = remaining[key] - rate * flow.count
+                remaining[key] = left if left > 0.0 else 0.0
         pending = [flow for flow in pending if flow.name not in rates]
     return rates
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import networkx as nx
 import numpy as np
@@ -103,6 +103,14 @@ def derive_tunnels(
     return derive_tunnels_for_pairs(network, pairs, k_paths)
 
 
+#: router-graph shape -> a small id, and (id, ingress, egress, k_paths)
+#: -> that pair's paths; both cleared together once they hold
+#: :data:`_PATHS_MEMO_MAX` entries between them
+_GRAPH_IDS: Dict[tuple, int] = {}
+_PATHS_MEMO: Dict[Tuple[int, str, str, int], Tuple[Tuple[str, ...], ...]] = {}
+_PATHS_MEMO_MAX = 4096
+
+
 def derive_tunnels_for_pairs(
     network: Network,
     pairs: Sequence[Tuple[str, str]],
@@ -111,15 +119,33 @@ def derive_tunnels_for_pairs(
     """Candidate tunnels for explicit (ingress, egress) router pairs —
     the pair-first entry point service mode uses, where the pair set is
     fixed up front and flows arrive forever (so tunnels cannot be
-    derived from a finite request list)."""
+    derived from a finite request list).
+
+    Each pair's paths are memoised per process on the router graph's
+    adjacency in iteration order: Yen's tie-break follows neighbour
+    order, so two graphs with one edge set but another insertion order
+    are two keys.  Tunnel ids are numbered per call."""
     router_graph = network.graph.subgraph(network.routers)
+    shape = tuple((u, tuple(router_graph.adj[u])) for u in router_graph)
+    if len(_PATHS_MEMO) + len(_GRAPH_IDS) >= _PATHS_MEMO_MAX:
+        _PATHS_MEMO.clear()
+        _GRAPH_IDS.clear()
+    graph_id = _GRAPH_IDS.setdefault(shape, len(_GRAPH_IDS))
     tunnels: List[Tuple[str, int, Tuple[str, ...]]] = []
     tid = 1
     for ingress, egress in pairs:
-        for path in islice(
-            nx.shortest_simple_paths(router_graph, ingress, egress), k_paths
-        ):
-            tunnels.append((f"T{tid}", tid, tuple(path)))
+        key = (graph_id, ingress, egress, k_paths)
+        paths = _PATHS_MEMO.get(key)
+        if paths is None:
+            paths = _PATHS_MEMO[key] = tuple(
+                tuple(path)
+                for path in islice(
+                    nx.shortest_simple_paths(router_graph, ingress, egress),
+                    k_paths,
+                )
+            )
+        for path in paths:
+            tunnels.append((f"T{tid}", tid, path))
             tid += 1
     return tuple(tunnels)
 

@@ -187,6 +187,22 @@ class TestMockDriver:
         assert seen[0][0] is seen[1][0]
         assert seen[0][0].bound == 8.0
 
+    def test_dark_probe_reports_no_rtt(self):
+        """A probe whose path is down for its whole span gets no echo,
+        so, like real ping, the mock prints no rtt line for it."""
+        cue = FailureCue(at=0.0, action="fail", a="r0", b="r1",
+                         command="link down r0 r1 @ 0s")
+        plan = dataclasses.replace(
+            _probe_plan(), failures=(cue,), failure_events=1
+        )
+        raw = MockEmulationDriver().run(plan)
+        assert "10 packets transmitted, 0 received" in raw
+        assert "rtt" not in raw
+        per_flow, latencies, drops = parse_driver_output(plan, raw)
+        assert latencies == []
+        assert drops == 10
+        assert per_flow["u0"] == 0.0
+
     def test_rates_respect_the_bottleneck(self):
         plan = _tiny_plan(protocol="tcp")
         per_flow, _, _ = parse_driver_output(
@@ -245,6 +261,26 @@ class TestParserReconciliation:
         assert per_flow["p0"] == 0.0
         assert latencies == []
         assert drops == 10
+
+    def test_section_the_plan_does_not_name_raises(self):
+        plan = _probe_plan()
+        raw = MockEmulationDriver().run(plan) + (
+            "--- flow ghost tcp h0 > h1 via h0>r0>r1>h1 ---\n"
+            "[  3]  0.0-10.0 sec  1248.75 MBytes  999.000 Mbits/sec\n"
+        )
+        with pytest.raises(ValueError, match="flow section 'ghost'"):
+            parse_driver_output(plan, raw)
+
+    def test_section_of_the_wrong_kind_raises(self):
+        plan = _probe_plan()
+        raw = _flow_report() + (
+            "--- flow p0 icmp h0 > h1 via h0>r0>r1>h1 ---\n"
+            "10 packets transmitted, 10 received, 0% packet loss, "
+            "time 10000ms\n"
+            "rtt min/avg/max/mdev = 2.400/2.400/2.400/0.000 ms\n"
+        )
+        with pytest.raises(ValueError, match="probe 'p0' as a flow section"):
+            parse_driver_output(plan, raw)
 
     def test_repeated_section_raises(self):
         plan = _tiny_plan(protocol="tcp")

@@ -16,6 +16,10 @@ plans that reach every corner the two rules could split on:
   edges, so their outage is a partial-epoch overlap);
 - zero-length and past-horizon spans, and zero-rate UDP senders.
 
+One line of the reference is not verbatim: it printed an ``rtt`` line
+for a probe that got no echo back, as the mock did, which encoded that
+bug; both now print none there, as real ping does at 100 % loss.
+
 Run directly (``PYTHONPATH=src python tests/backends/test_mock_reference.py
 [plans]``) to compare more plans than tier-1 does.
 """
@@ -193,10 +197,11 @@ def reference_run(plan: CommandPlan) -> str:
             f"{sent} packets transmitted, {received} received, "
             f"{loss_pct}% packet loss, time {int(span * 1000)}ms"
         )
-        lines.append(
-            f"rtt min/avg/max/mdev = "
-            f"{rtt:.3f}/{rtt:.3f}/{rtt:.3f}/0.000 ms"
-        )
+        if received > 0:  # ping prints no rtt line at 100 % loss
+            lines.append(
+                f"rtt min/avg/max/mdev = "
+                f"{rtt:.3f}/{rtt:.3f}/{rtt:.3f}/0.000 ms"
+            )
     return "\n".join(lines) + "\n"
 
 

@@ -275,3 +275,71 @@ class TestZeroTraffic:
         assert result.mean_latency_ms == 0.0
         text = result.summary()  # must not raise on the empty flow set
         assert "0/0 placed" in text
+
+
+class TestTunnelMemo:
+    """``derive_tunnels_for_pairs`` memoises each pair's paths on the
+    router graph's adjacency in iteration order, because Yen's
+    tie-break follows neighbour order."""
+
+    @staticmethod
+    def square(links):
+        from repro.net.topology import Network
+
+        net = Network()
+        for name in ("r0", "r1", "r2", "r3"):
+            net.add_router(name, edge=True)
+        for a, b in links:
+            net.add_link(a, b)
+        return net
+
+    @staticmethod
+    def fresh(net, pairs, k_paths):
+        """The tunnels straight from networkx, no memo."""
+        from itertools import islice
+
+        import networkx as nx
+
+        graph = net.graph.subgraph(net.routers)
+        paths = [
+            tuple(path)
+            for a, b in pairs
+            for path in islice(nx.shortest_simple_paths(graph, a, b), k_paths)
+        ]
+        return tuple(
+            (f"T{tid}", tid, path) for tid, path in enumerate(paths, start=1)
+        )
+
+    def test_insertion_order_is_part_of_the_key(self):
+        from repro.scenarios.runner import derive_tunnels_for_pairs
+
+        via_r1 = [("r0", "r1"), ("r1", "r3"), ("r0", "r2"), ("r2", "r3")]
+        via_r2 = [("r0", "r2"), ("r2", "r3"), ("r0", "r1"), ("r1", "r3")]
+        pairs = [("r0", "r3"), ("r3", "r0"), ("r1", "r2")]
+        first, second = self.square(via_r1), self.square(via_r2)
+        assert set(map(frozenset, first.graph.edges)) == set(
+            map(frozenset, second.graph.edges)
+        )
+        # one edge set, two answers: a key on the nodes alone would
+        # hand the second graph the first one's tunnels
+        assert self.fresh(first, pairs, 1) != self.fresh(second, pairs, 1)
+        for k_paths in (1, 2):
+            for net in (first, second, first):
+                assert derive_tunnels_for_pairs(
+                    net, pairs, k_paths
+                ) == self.fresh(net, pairs, k_paths)
+
+    def test_repeat_calls_number_tunnels_per_call(self):
+        from repro.scenarios.runner import derive_tunnels_for_pairs
+
+        net = self.square([("r0", "r1"), ("r1", "r3"), ("r0", "r2"),
+                           ("r2", "r3")])
+        once = derive_tunnels_for_pairs(net, [("r0", "r3")], 2)
+        again = derive_tunnels_for_pairs(net, [("r0", "r3")], 2)
+        assert once == again
+        assert [tid for _, tid, _ in once] == [1, 2]
+        # a pair reached second in another call is numbered after the first
+        later = derive_tunnels_for_pairs(net, [("r1", "r2"), ("r0", "r3")], 2)
+        assert later[2:] == tuple(
+            (f"T{tid + 2}", tid + 2, path) for _, tid, path in once
+        )
